@@ -1,11 +1,10 @@
 //! The workspace call graph behind the interprocedural rules.
 //!
 //! Nodes are `fn` items keyed `crate::module::name` (module path derived
-//! from the file path), built from the same [`crate::parse::FnSig`]
-//! layer the structural rules use.  Edges come from call-site tokens and
-//! are resolved with the unanimous-name-index trick `err-swallow`
-//! already relies on — a call edge is only recorded when it can be
-//! justified, ambiguity stays silent:
+//! from the file path), built from the [`crate::parse::FnSig`] layer.
+//! Edges come from call-site tokens and are resolved by unanimous name
+//! lookup — a call edge is only recorded when it can be justified,
+//! ambiguity stays silent:
 //!
 //! * **bare calls** (`foo(..)`) resolve to a same-file `fn foo` when the
 //!   file defines exactly one, else through the file's `use` imports,
@@ -23,40 +22,31 @@
 //!
 //! # How reachability is computed
 //!
-//! Two closures are derived, each used only in the direction where its
-//! approximation is sound:
-//!
-//! * **must-reach** — the closure of the justified edges above, seeded
-//!   at the configured service entry points ([`crate::config::Config::entry_points`]:
-//!   `PlanEngine::plan*`, `service::handle_*`/`serve_*`, the engine and
-//!   replay `main`s, scenario/replay/golden runners).  It only ever
-//!   *extends* rule coverage — into `models`/`bench` (`panic-reach`) and
-//!   into the `lock-order`/`recurse-request` analyses — and provides the
-//!   `entry_trace` call chains, so every extra finding carries a
-//!   justifiable path from an entry point.
-//! * **may-reach** — an over-approximation (every same-name candidate
-//!   gets an edge, std-shadowing included), seeded at the entry points
-//!   *plus* every `fn main` *plus* every `pub` fn.  It is used only to
-//!   *exempt*: a private fn that even the over-approximated graph cannot
-//!   reach from any callable root is a genuinely unreachable helper, and
-//!   `panic-path`/`err-swallow` stop flagging it.
-//!
-//! A workspace with no entry points (the ratchet-gate mini-workspaces)
-//! skips all reachability logic: per-file rules behave exactly as
-//! before.
+//! **must-reach** is the closure of the justified edges above, seeded at
+//! the configured service entry points
+//! ([`crate::config::Config::entry_points`]: `PlanEngine::plan*`,
+//! `service::handle_*`/`serve_*`, the engine and replay `main`s,
+//! scenario/replay/golden runners).  It scopes the `lock-order` and
+//! `recurse-request` analyses and provides the `entry_trace` call
+//! chains, so every finding on a request path carries a justifiable
+//! path from an entry point.  A workspace with no entry points gets no
+//! interprocedural findings.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::config::Config;
 use crate::json::escape;
 use crate::lexer::{Token, TokenKind};
+use crate::rules::{is_punct, is_word};
 
 /// Schema identifier stamped into the `--callgraph json` document.
 pub const CALLGRAPH_SCHEMA: &str = "hypar-analyzer-callgraph/v1";
 
-/// Method names that shadow std-prelude/collection methods: a dotted
-/// call through one of these never resolves to a workspace fn, however
-/// unique the name — `.find(..)` is `Iterator::find`, not `fn find`.
+/// Method names that shadow std-prelude/collection methods, or methods
+/// of crates outside the scan roots: a dotted call through one of these
+/// never resolves to a workspace fn, however unique the name —
+/// `.find(..)` is `Iterator::find`, not `fn find`, and `.value()` is
+/// usually a `hypar-tensor` unit accessor.
 const STD_METHODS: &[&str] = &[
     "all",
     "any",
@@ -131,6 +121,7 @@ const STD_METHODS: &[&str] = &[
     "to_string",
     "to_vec",
     "trim",
+    "value",
     "values",
     "windows",
     "write",
@@ -153,8 +144,6 @@ const EXTERNAL_ROOTS: &[&str] = &["std", "core", "alloc"];
 pub struct FnNode {
     /// `crate::module::name`, the stable display key.
     pub label: String,
-    /// The bare fn name.
-    pub name: String,
     /// Workspace-relative file path.
     pub file: String,
     /// Index of the file in the scan order.
@@ -182,7 +171,7 @@ pub(crate) struct CallSite {
     pub callee: usize,
 }
 
-/// The workspace call graph plus both reachability closures.
+/// The workspace call graph plus its must-reach closure.
 pub struct CallGraph {
     /// All non-test `fn` nodes, in file-scan order.
     pub nodes: Vec<FnNode>,
@@ -192,23 +181,14 @@ pub struct CallGraph {
     must_out: Vec<BTreeSet<usize>>,
     entries: Vec<usize>,
     must_reach: Vec<bool>,
-    may_reach: Vec<bool>,
     /// BFS parent (over must edges, from the entry set) for traces.
     trace_parent: Vec<Option<usize>>,
     /// Per-file node indices, for innermost-body lookup.
     by_file: Vec<Vec<usize>>,
 }
 
-/// One scanned file: `(rel_path, source, lexed, parsed)`.
-pub(crate) type FileUnit = (String, String, crate::lexer::Lexed, crate::parse::Parsed);
-
-fn is_punct(tok: &Token, c: char) -> bool {
-    tok.kind == TokenKind::Punct && tok.text.len() == 1 && tok.text.starts_with(c)
-}
-
-fn is_word(tok: &Token) -> bool {
-    matches!(tok.kind, TokenKind::Ident | TokenKind::RawIdent)
-}
+/// One scanned file: `(rel_path, source, tokens, parsed)`.
+pub(crate) type FileUnit = (String, String, Vec<Token>, crate::parse::Parsed);
 
 /// The module path of a file: `crates/engine/src/service.rs` →
 /// `["engine", "service"]`, `lib.rs`/`mod.rs` collapse into the parent,
@@ -432,11 +412,11 @@ impl CallGraph {
     pub(crate) fn build(files: &[FileUnit], config: &Config) -> CallGraph {
         let masks: Vec<Vec<bool>> = files
             .iter()
-            .map(|(_, _, lexed, _)| crate::rules::test_mask(&lexed.tokens))
+            .map(|(_, _, tokens, _)| crate::rules::test_mask(tokens))
             .collect();
         let aliases: Vec<BTreeMap<String, Vec<String>>> = files
             .iter()
-            .map(|(_, _, lexed, _)| use_aliases(&lexed.tokens))
+            .map(|(_, _, tokens, _)| use_aliases(tokens))
             .collect();
 
         // Pass 1: nodes.
@@ -445,9 +425,8 @@ impl CallGraph {
         let mut by_file = vec![Vec::new(); files.len()];
         let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut by_impl: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
-        for (file_idx, (path, _, lexed, parsed)) in files.iter().enumerate() {
+        for (file_idx, (path, _, tokens, parsed)) in files.iter().enumerate() {
             let module = module_segments(path);
-            let tokens = &lexed.tokens;
             let impls = impl_blocks(tokens);
             let mut cursor = 0usize;
             for sig in &parsed.fns {
@@ -486,7 +465,6 @@ impl CallGraph {
                 let idx = nodes.len();
                 nodes.push(FnNode {
                     label,
-                    name: sig.name.clone(),
                     file: path.clone(),
                     file_idx,
                     line: sig.line,
@@ -510,9 +488,7 @@ impl CallGraph {
         // Pass 2: edges.
         let mut calls = vec![Vec::new(); nodes.len()];
         let mut must_out = vec![BTreeSet::new(); nodes.len()];
-        let mut may_out = vec![BTreeSet::new(); nodes.len()];
-        for (file_idx, (path, _, lexed, parsed)) in files.iter().enumerate() {
-            let tokens = &lexed.tokens;
+        for (file_idx, (path, _, tokens, parsed)) in files.iter().enumerate() {
             let crate_root = module_segments(path)
                 .first()
                 .cloned()
@@ -537,10 +513,9 @@ impl CallGraph {
                 let Some(&caller) = by_sig.get(&(file_idx, sig.name.clone(), sig.line)) else {
                     continue;
                 };
-                let candidates = by_name.get(name).cloned().unwrap_or_default();
-                if candidates.is_empty() {
+                let Some(candidates) = by_name.get(name) else {
                     continue;
-                }
+                };
                 let dotted = i > 0 && is_punct(&tokens[i - 1], '.');
                 let qualified =
                     i >= 2 && is_punct(&tokens[i - 1], ':') && is_punct(&tokens[i - 2], ':');
@@ -587,7 +562,7 @@ impl CallGraph {
                     resolve_qualified(
                         &segs,
                         name,
-                        &candidates,
+                        candidates,
                         &nodes,
                         &aliases[file_idx],
                         &crate_root,
@@ -598,7 +573,7 @@ impl CallGraph {
                 } else {
                     resolve_bare(
                         name,
-                        &candidates,
+                        candidates,
                         &nodes,
                         &aliases[file_idx],
                         &crate_root,
@@ -610,9 +585,6 @@ impl CallGraph {
                     // `recurse-request` looks for.
                     calls[caller].push(CallSite { tok: i, callee });
                     must_out[caller].insert(callee);
-                }
-                for &candidate in &candidates {
-                    may_out[caller].insert(candidate);
                 }
             }
         }
@@ -645,32 +617,12 @@ impl CallGraph {
             }
         }
 
-        // may-reach: BFS from entries + every `main` + every pub fn over
-        // the over-approximated edge set.
-        let mut may_reach = vec![false; nodes.len()];
-        let mut queue = VecDeque::new();
-        for (i, node) in nodes.iter().enumerate() {
-            if node.is_entry || node.is_pub || node.name == "main" {
-                may_reach[i] = true;
-                queue.push_back(i);
-            }
-        }
-        while let Some(n) = queue.pop_front() {
-            for &m in must_out[n].iter().chain(may_out[n].iter()) {
-                if !may_reach[m] {
-                    may_reach[m] = true;
-                    queue.push_back(m);
-                }
-            }
-        }
-
         CallGraph {
             nodes,
             calls,
             must_out,
             entries,
             must_reach,
-            may_reach,
             trace_parent,
             by_file,
         }
@@ -703,12 +655,6 @@ impl CallGraph {
     /// Whether `node` is on a justified path from an entry point.
     pub(crate) fn is_must_reachable(&self, node: usize) -> bool {
         self.must_reach.get(node).copied().unwrap_or(false)
-    }
-
-    /// Whether even the over-approximated graph reaches `node` from any
-    /// callable root (entry, `main`, or `pub` fn).
-    pub(crate) fn is_may_reachable(&self, node: usize) -> bool {
-        self.may_reach.get(node).copied().unwrap_or(false)
     }
 
     pub(crate) fn must_callees(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
@@ -862,7 +808,10 @@ fn resolve_bare(
 
 /// Qualified-call resolution through the file's `use` aliases and the
 /// workspace `impl` index.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the per-file resolution context is passed flat rather than bundled for one caller"
+)]
 fn resolve_qualified(
     segs: &[String],
     name: &str,
@@ -951,9 +900,9 @@ mod tests {
         sources
             .iter()
             .map(|(path, src)| {
-                let lexed = lex(src);
-                let parsed = parse(&lexed.tokens);
-                ((*path).to_string(), (*src).to_string(), lexed, parsed)
+                let tokens = lex(src);
+                let parsed = parse(&tokens);
+                ((*path).to_string(), (*src).to_string(), tokens, parsed)
             })
             .collect()
     }
@@ -1051,15 +1000,18 @@ mod tests {
         let graph = graph_of(&[
             (
                 "crates/engine/src/service.rs",
-                "pub fn handle_a(xs: &[u8]) { xs.iter().find(|x| true); }\n",
+                "pub fn handle_a(xs: &[u8], f: Frac) { xs.iter().find(|x| true); f.value(); }\n",
             ),
-            ("crates/telemetry/src/trace.rs", "pub fn find() {}\n"),
+            (
+                "crates/telemetry/src/trace.rs",
+                "pub fn find() {}\npub fn value() {}\n",
+            ),
         ]);
         let handle = node(&graph, "engine::service::handle_a");
         assert_eq!(
             graph.must_callees(handle).count(),
             0,
-            ".find() is Iterator::find, not a workspace fn"
+            ".find() is Iterator::find and .value() a tensor accessor, not workspace fns"
         );
     }
 
@@ -1097,27 +1049,7 @@ mod tests {
         );
         let orphan = node(&graph, "engine::service::orphan");
         assert!(!graph.is_must_reachable(orphan));
-        assert!(!graph.is_may_reachable(orphan), "private + uncalled");
         assert!(graph.entry_trace(orphan).is_empty());
-    }
-
-    #[test]
-    fn pub_fns_and_mains_are_may_roots() {
-        let graph = graph_of(&[
-            (
-                "crates/telemetry/src/metrics.rs",
-                "pub fn export() { render(); }\nfn render() {}\n",
-            ),
-            (
-                "crates/analyzer/src/main.rs",
-                "fn main() { drive(); }\nfn drive() {}\n",
-            ),
-        ]);
-        assert!(!graph.has_entries());
-        let render = node(&graph, "telemetry::metrics::render");
-        assert!(graph.is_may_reachable(render), "called by a pub fn");
-        let drive = node(&graph, "analyzer::main::drive");
-        assert!(graph.is_may_reachable(drive), "called by main");
     }
 
     #[test]
@@ -1138,14 +1070,14 @@ mod tests {
         let dot = graph.to_dot();
         assert!(dot.starts_with("digraph"));
         assert!(dot.contains("\"engine::service::handle_line\" -> \"engine::service::step\""));
-        let doc = crate::json::parse(&graph.to_json()).expect("valid json");
+        let doc: serde_json::Value = serde_json::from_str(&graph.to_json()).expect("valid json");
         assert_eq!(
-            doc.get("schema").and_then(crate::json::Value::as_str),
+            doc.get("schema").and_then(serde_json::Value::as_str),
             Some(CALLGRAPH_SCHEMA)
         );
         let edges = doc
             .get("edges")
-            .and_then(crate::json::Value::as_array)
+            .and_then(serde_json::Value::as_array)
             .expect("edges");
         assert_eq!(edges.len(), 1);
     }

@@ -1,17 +1,14 @@
-//! Which rules apply where.
+//! What the analyzer scans and where requests enter.
 //!
-//! Scopes are path prefixes relative to the workspace root (always
-//! `/`-separated).  The defaults encode this workspace's invariants:
-//! panic-path and poison-safety discipline in every service-reachable
-//! crate, determinism rules in the crates whose outputs feed
-//! fingerprints or `state_hash`es, a wall-clock carve-out for the
-//! telemetry layer (whose whole job is timing), truncation-cast scope
-//! over comm byte math and the cost/fingerprint paths, and a relaxed
-//! profile for `examples/` (panics are fine in a demo; silently
-//! swallowed `Result`s are not — examples are documentation).
+//! The per-crate lint policy (panics, wall clocks, unordered maps, float
+//! equality, narrowing casts, dropped `Result`s) lives in the workspace
+//! `[workspace.lints.clippy]` table; [`SERVICE_CRATES`] names the crates
+//! that must opt into it.  The analyzer itself only needs the scan roots
+//! and the service entry points its call graph is seeded from.
 
-/// Crates whose code can be reached from a `PlanRequest`: a panic here
-/// aborts the service instead of degrading to an error JSON.
+/// Crates whose code can be reached from a `PlanRequest`: each opts
+/// into the workspace lint table with `[lints] workspace = true`, so a
+/// panic or a nondeterministic read there fails clippy.
 pub const SERVICE_CRATES: &[&str] = &[
     "engine",
     "graph",
@@ -20,15 +17,27 @@ pub const SERVICE_CRATES: &[&str] = &[
     "comm",
     "replay",
     "telemetry",
-    // The analyzer holds itself to its own standard.
+    "models",
+    // The analyzer holds itself to the same standard.
     "analyzer",
 ];
 
-/// Crates outside the service whitelist that the call graph can still
-/// reach from an entry point: panic sites there are `panic-reach`
-/// findings when (and only when) a justified call path from a service
-/// entry reaches them.
-pub const REACH_CRATES: &[&str] = &["bench", "models"];
+/// The directories to walk, workspace-relative and sorted.  Integration
+/// `tests/` directories inside them are skipped.
+pub const SCAN_ROOTS: &[&str] = &[
+    "crates/analyzer/src",
+    "crates/bench/src",
+    "crates/comm/src",
+    "crates/core/src",
+    "crates/engine/src",
+    "crates/graph/src",
+    "crates/models/src",
+    "crates/replay/src",
+    "crates/sim/src",
+    "crates/telemetry/src",
+    "examples",
+    "src",
+];
 
 /// Service entry points seeding the call-graph reachability closure:
 /// `(file-path suffix, fn-name prefix)` pairs.  These are the functions
@@ -45,209 +54,24 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
     ("crates/replay/src/golden.rs", "verify"),
 ];
 
-/// Crates in scope for the determinism rules (`det-float-eq`,
-/// `det-wall-clock`).
-pub const DET_CRATES: &[&str] = &[
-    "engine",
-    "graph",
-    "core",
-    "sim",
-    "comm",
-    "replay",
-    "telemetry",
-];
-
-/// Files/modules whose outputs feed cache fingerprints or the canonical
-/// `state_hash`: an unordered `HashMap`/`HashSet` here is a determinism
-/// hazard even before anyone iterates it.
-pub const HASHED_PATHS: &[&str] = &[
-    "crates/telemetry/src/statehash.rs",
-    "crates/engine/src/fingerprint.rs",
-    "crates/engine/src/engine.rs",
-    "crates/engine/src/record.rs",
-    "crates/graph/src/dag.rs",
-    "crates/graph/src/segments.rs",
-    "crates/replay/src/",
-];
-
-/// Paths where `Instant::now`/`SystemTime` are the point, not a hazard.
-pub const CLOCK_ALLOWED: &[&str] = &["crates/telemetry/src/"];
-
-/// Paths in `cast-truncate` scope: comm byte math plus the cost and
-/// fingerprint paths of `graph`/`core`, where a truncated count
-/// silently corrupts plan costs or state hashes.
-pub const CAST_PATHS: &[&str] = &[
-    "crates/comm/src/",
-    "crates/core/src/",
-    "crates/graph/src/dag.rs",
-    "crates/graph/src/exhaustive.rs",
-    "crates/graph/src/plan.rs",
-    "crates/graph/src/refine.rs",
-    "crates/graph/src/segments.rs",
-];
-
-/// Resolved rule applicability for one file.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RuleSet {
-    /// `panic-path`: unwrap/expect/panic-family macros forbidden.
-    pub panic_path: bool,
-    /// `panic-reach`: the same panic family, but in reach crates
-    /// (`models`/`bench`) where only call-graph-reachable sites count.
-    pub panic_reach: bool,
-    /// `lock-poison`: `.lock().unwrap()/.expect()` forbidden.
-    pub lock_poison: bool,
-    /// `det-map-iter`: `HashMap`/`HashSet` forbidden (hashed paths).
-    pub det_map_iter: bool,
-    /// `det-float-eq`: float `==`/`!=` against a float literal.
-    pub det_float_eq: bool,
-    /// `det-wall-clock`: `Instant::now`/`SystemTime` forbidden.
-    pub det_wall_clock: bool,
-    /// `err-swallow`: discarded `Result` values forbidden.
-    pub err_swallow: bool,
-    /// `cast-truncate`: narrowing `as` casts forbidden (cast paths).
-    pub cast_truncate: bool,
-    /// `lock-scope`: lock guards held across planning calls forbidden.
-    pub lock_scope: bool,
-}
-
-impl RuleSet {
-    /// Every rule on — what the fixture tests and the fuzzer use.
-    /// `panic_reach` stays off: it is the reach-crate *variant* of
-    /// `panic_path`, never active alongside it.
-    #[must_use]
-    pub fn all() -> Self {
-        RuleSet {
-            panic_path: true,
-            panic_reach: false,
-            lock_poison: true,
-            det_map_iter: true,
-            det_float_eq: true,
-            det_wall_clock: true,
-            err_swallow: true,
-            cast_truncate: true,
-            lock_scope: true,
-        }
-    }
-
-    /// No rule applies: the file is skipped entirely.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        *self == RuleSet::default()
-    }
-}
-
-/// The workspace lint configuration: scan roots plus scope tables.
+/// The analyzer configuration: scan roots plus entry points.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Crate names (under `crates/`) in panic/poison scope.
-    pub service_crates: Vec<String>,
-    /// Crate names scanned only for call-graph-reachable hazards
-    /// (`panic-reach`, reachable `err-swallow`).
-    pub reach_crates: Vec<String>,
+    /// Workspace-relative directories to walk, in order.
+    pub scan_roots: Vec<String>,
     /// `(file-path suffix, fn-name prefix)` service entry points
     /// seeding the reachability closure.
     pub entry_points: Vec<(String, String)>,
-    /// Crate names in determinism-rule scope.
-    pub det_crates: Vec<String>,
-    /// Path prefixes in `det-map-iter` scope.
-    pub hashed_paths: Vec<String>,
-    /// Path prefixes exempt from `det-wall-clock`.
-    pub clock_allowed: Vec<String>,
-    /// Path prefixes in `cast-truncate` scope.
-    pub cast_paths: Vec<String>,
 }
 
 impl Default for Config {
     fn default() -> Self {
-        let own = |list: &[&str]| list.iter().map(|s| (*s).to_string()).collect();
         Config {
-            service_crates: own(SERVICE_CRATES),
-            reach_crates: own(REACH_CRATES),
+            scan_roots: SCAN_ROOTS.iter().map(|s| (*s).to_string()).collect(),
             entry_points: ENTRY_POINTS
                 .iter()
                 .map(|(suffix, prefix)| ((*suffix).to_string(), (*prefix).to_string()))
                 .collect(),
-            det_crates: own(DET_CRATES),
-            hashed_paths: own(HASHED_PATHS),
-            clock_allowed: own(CLOCK_ALLOWED),
-            cast_paths: own(CAST_PATHS),
-        }
-    }
-}
-
-impl Config {
-    /// The directories to walk, in sorted order: every configured
-    /// `crates/<name>/src`, plus the root facade `src/` and
-    /// `examples/`.
-    #[must_use]
-    pub fn scan_roots(&self) -> Vec<String> {
-        let mut names: Vec<&str> = self
-            .service_crates
-            .iter()
-            .chain(self.det_crates.iter())
-            .chain(self.reach_crates.iter())
-            .map(String::as_str)
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        let mut roots: Vec<String> = names
-            .into_iter()
-            .map(|name| format!("crates/{name}/src"))
-            .collect();
-        roots.push("examples".to_string());
-        roots.push("src".to_string());
-        roots.sort();
-        roots
-    }
-
-    /// Which rules apply to the file at workspace-relative `path`.
-    #[must_use]
-    pub fn rules_for(&self, path: &str) -> RuleSet {
-        // The root facade re-exports the service crates: full service +
-        // determinism profile.  Examples are documentation: panicking
-        // on bad demo input is fine, silently dropping a Result is not.
-        if path.starts_with("examples/") {
-            return RuleSet {
-                err_swallow: true,
-                ..RuleSet::default()
-            };
-        }
-        let facade = path.starts_with("src/");
-        let crate_of = path
-            .strip_prefix("crates/")
-            .and_then(|rest| rest.split('/').next())
-            .unwrap_or("");
-        // Reach crates get the call-graph-scoped profile: the panic
-        // family as `panic-reach` plus `err-swallow`, both kept only on
-        // justified paths from a service entry point.
-        if self.reach_crates.iter().any(|c| c == crate_of) {
-            return RuleSet {
-                panic_reach: true,
-                err_swallow: true,
-                ..RuleSet::default()
-            };
-        }
-        let service = facade || self.service_crates.iter().any(|c| c == crate_of);
-        let det = facade || self.det_crates.iter().any(|c| c == crate_of);
-        let hashed = self
-            .hashed_paths
-            .iter()
-            .any(|p| path.starts_with(p.as_str()));
-        let clock_ok = self
-            .clock_allowed
-            .iter()
-            .any(|p| path.starts_with(p.as_str()));
-        let casts = self.cast_paths.iter().any(|p| path.starts_with(p.as_str()));
-        RuleSet {
-            panic_path: service,
-            panic_reach: false,
-            lock_poison: service,
-            det_map_iter: det && hashed,
-            det_float_eq: det,
-            det_wall_clock: det && !clock_ok,
-            err_swallow: service,
-            cast_truncate: casts,
-            lock_scope: service,
         }
     }
 }
@@ -255,45 +79,6 @@ impl Config {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scopes_resolve_by_crate_and_path() {
-        let cfg = Config::default();
-        let engine = cfg.rules_for("crates/engine/src/service.rs");
-        assert!(engine.panic_path && engine.lock_poison && engine.det_wall_clock);
-        assert!(engine.err_swallow && engine.lock_scope);
-        assert!(!engine.det_map_iter, "service.rs is not a hashed path");
-        assert!(!engine.cast_truncate, "engine is not in cast scope");
-
-        let fp = cfg.rules_for("crates/engine/src/fingerprint.rs");
-        assert!(fp.det_map_iter, "fingerprint.rs feeds the cache key");
-
-        let telemetry = cfg.rules_for("crates/telemetry/src/trace.rs");
-        assert!(telemetry.panic_path);
-        assert!(!telemetry.det_wall_clock, "telemetry owns the clock");
-
-        let replay = cfg.rules_for("crates/replay/src/drift.rs");
-        assert!(replay.det_map_iter, "all of replay is hash-bearing");
-
-        let zoo = cfg.rules_for("crates/models/src/zoo.rs");
-        assert!(zoo.panic_reach && zoo.err_swallow, "models is reach-scoped");
-        assert!(!zoo.panic_path && !zoo.det_float_eq && !zoo.lock_scope);
-        assert!(cfg.rules_for("vendor/serde/src/lib.rs").is_empty());
-    }
-
-    #[test]
-    fn reach_crates_get_the_callgraph_scoped_profile() {
-        let cfg = Config::default();
-        for path in [
-            "crates/bench/src/context.rs",
-            "crates/models/src/network.rs",
-        ] {
-            let rules = cfg.rules_for(path);
-            assert!(rules.panic_reach, "{path} is panic-reach scoped");
-            assert!(rules.err_swallow, "{path} keeps err-swallow");
-            assert!(!rules.panic_path, "{path} is not crate-whitelisted");
-        }
-    }
 
     #[test]
     fn entry_points_cover_the_request_surface() {
@@ -309,45 +94,15 @@ mod tests {
     }
 
     #[test]
-    fn cast_scope_covers_comm_core_and_graph_cost_paths() {
-        let cfg = Config::default();
-        assert!(cfg.rules_for("crates/comm/src/model.rs").cast_truncate);
-        assert!(cfg.rules_for("crates/core/src/sweep.rs").cast_truncate);
-        assert!(cfg.rules_for("crates/graph/src/dag.rs").cast_truncate);
-        assert!(cfg.rules_for("crates/graph/src/segments.rs").cast_truncate);
-        assert!(
-            !cfg.rules_for("crates/graph/src/zoo.rs").cast_truncate,
-            "the model zoo is not a cost path"
-        );
-        assert!(!cfg.rules_for("crates/engine/src/service.rs").cast_truncate);
-    }
-
-    #[test]
-    fn facade_and_examples_have_their_own_profiles() {
-        let cfg = Config::default();
-        let facade = cfg.rules_for("src/lib.rs");
-        assert!(facade.panic_path && facade.err_swallow && facade.det_float_eq);
-        assert!(!facade.cast_truncate);
-
-        let example = cfg.rules_for("examples/plan_resnet.rs");
-        assert!(example.err_swallow, "examples must not swallow Results");
-        assert!(
-            !example.panic_path,
-            "examples may expect() on bad demo input"
-        );
-        assert!(!example.lock_scope && !example.det_float_eq);
-    }
-
-    #[test]
     fn scan_roots_are_sorted_and_include_facade_and_examples() {
-        let roots = Config::default().scan_roots();
+        let roots = Config::default().scan_roots;
         let mut sorted = roots.clone();
         sorted.sort();
         sorted.dedup();
         assert_eq!(roots, sorted);
-        assert!(roots.contains(&"crates/engine/src".to_string()));
-        assert!(roots.contains(&"crates/analyzer/src".to_string()));
-        assert!(roots.contains(&"crates/models/src".to_string()));
+        for name in SERVICE_CRATES {
+            assert!(roots.contains(&format!("crates/{name}/src")), "{name}");
+        }
         assert!(roots.contains(&"crates/bench/src".to_string()));
         assert!(roots.contains(&"src".to_string()));
         assert!(roots.contains(&"examples".to_string()));

@@ -2,7 +2,7 @@
 //!
 //! `--self-fuzz N` mutates Rust-ish sources with a deterministic LCG
 //! (same `N` + seed → same inputs, so a CI failure reproduces locally),
-//! feeds every mutant through [`lex`] + [`parse`] + the full rule set,
+//! feeds every mutant through [`lex`] + [`parse`] + the per-file rule,
 //! and asserts four invariants:
 //!
 //! 1. **no panic** — a panicking analyzer would turn a hostile source
@@ -29,15 +29,14 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use crate::config::RuleSet;
 use crate::lexer::{lex, TokenKind};
 use crate::parse::parse;
 use crate::rules::check_source;
 
 /// Seed sources chosen to sit near every lexer and parser edge:
-/// fences, nesting, ticks, escapes, pragmas, fn items, casts, guards.
+/// fences, nesting, ticks, escapes, comments, fn items, casts, guards.
 const CORPUS: &[&str] = &[
-    "fn f(x: Option<u8>) -> u8 { x.unwrap() } // hypar-allow: panic-path — seed\n",
+    "fn f(x: Option<u8>) -> u8 { x.unwrap() } // trailing comment — seed\n",
     "let s = r##\"raw \"# fence\"## ; let q = '\"'; let t = '\\'';\n",
     "/* outer /* inner */ still */ let m: HashMap<u8, u8> = HashMap::new();\n",
     "fn g<'a>(v: &'a [f64]) -> bool { v[0] == 0.0 || v[0] != 1e-3 }\n",
@@ -59,6 +58,10 @@ impl Rng {
         self.0 >> 16
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the remainder is below n, which is a usize"
+    )]
     fn below(&mut self, n: usize) -> usize {
         if n == 0 {
             0
@@ -180,14 +183,18 @@ pub fn run(iterations: u64, seed: u64) -> Result<FuzzSummary, String> {
         }
         let source = String::from_utf8_lossy(&bytes).into_owned();
         let chars = source.chars().count() as u64;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the per-mutant budget is a wall-clock bound by design"
+        )]
         let started = Instant::now();
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            let lexed = lex(&source);
-            let parsed = parse(&lexed.tokens);
-            let findings = check_source("fuzz.rs", &source, RuleSet::all());
-            let kinds: Vec<TokenKind> = lexed.tokens.iter().map(|t| t.kind).collect();
+            let tokens = lex(&source);
+            let parsed = parse(&tokens);
+            let findings = check_source("fuzz.rs", &source);
+            let kinds: Vec<TokenKind> = tokens.iter().map(|t| t.kind).collect();
             (
-                lexed.tokens.len() as u64,
+                tokens.len() as u64,
                 parsed.stmt_count() as u64,
                 findings.len() as u64,
                 pair_signature(&kinds),

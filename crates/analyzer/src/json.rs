@@ -1,14 +1,8 @@
-//! Minimal JSON utilities shared by the baseline and findings writers.
+//! The JSON string escaper shared by the findings and call-graph writers.
 //!
-//! The analyzer is deliberately dependency-free, so it carries its own
-//! string escaper (used by both canonical writers) and a small
-//! recursive-descent [`Value`] parser.  The parser exists for
-//! *validation* — the CLI test and `--format json` consumers check the
-//! findings document is well-formed and schema-conformant — not as a
-//! general-purpose JSON library: numbers are `f64`, no streaming, and
-//! depth is bounded.
-
-use std::collections::BTreeMap;
+//! The analyzer binary is deliberately dependency-free, so its two
+//! canonical writers carry their own escaper; the tests parse what they
+//! write with the vendored `serde_json`.
 
 /// Escapes `s` as a JSON string, including the surrounding quotes.
 #[must_use]
@@ -30,301 +24,23 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// A parsed JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Value {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Value>),
-    Object(BTreeMap<String, Value>),
-}
-
-impl Value {
-    /// The object's member named `key`, if this is an object.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(members) => members.get(key),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as a non-negative integer, if it is one.
-    #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2.0_f64.powi(53) => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a bool.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    #[must_use]
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The members, if this is an object.
-    #[must_use]
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Object(members) => Some(members),
-            _ => None,
-        }
-    }
-}
-
-/// Nesting bound: the documents this crate writes are ≤ 4 levels deep,
-/// so a small cap keeps hostile input from recursing the stack away.
-const MAX_DEPTH: usize = 32;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, what: &str) -> String {
-        format!("json parse error at byte {}: {}", self.pos, what)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(u8::is_ascii_whitespace)
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Value, String> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            None => Err(self.err("unexpected end of input")),
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(_) => self.number(),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected `{text}`")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("non-utf8 number"))?;
-        text.parse()
-            .map(Value::Number)
-            .map_err(|_| self.err(&format!("bad number `{text}`")))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.pos += 1; // opening quote, guaranteed by the caller
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(c @ (b'"' | b'\\' | b'/')) => out.push(c as char),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("unsupported escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the whole scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("empty tail"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Value, String> {
-        self.pos += 1; // `[`
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Value, String> {
-        self.pos += 1; // `{`
-        let mut members = BTreeMap::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            if self.bytes.get(self.pos) != Some(&b'"') {
-                return Err(self.err("expected a string key"));
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            if self.bytes.get(self.pos) != Some(&b':') {
-                return Err(self.err("expected `:`"));
-            }
-            self.pos += 1;
-            members.insert(key, self.value(depth + 1)?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(members));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-}
-
-/// Parses `text` as one JSON document (trailing whitespace allowed,
-/// trailing garbage rejected).
-pub fn parse(text: &str) -> Result<Value, String> {
-    let mut parser = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let value = parser.value(0)?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.err("trailing garbage after document"));
-    }
-    Ok(value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn escape_round_trips_through_parse() {
-        for s in ["plain", "with \"quotes\"", "new\nline\ttab", "uni: αβ✓", ""] {
-            let parsed = parse(&escape(s)).expect("parse escaped");
+        for s in [
+            "plain",
+            "with \"quotes\"",
+            "new\nline\ttab",
+            "uni: αβ✓",
+            "ctl \u{1}",
+            "",
+        ] {
+            let parsed: serde_json::Value =
+                serde_json::from_str(&escape(s)).expect("parse escaped");
             assert_eq!(parsed.as_str(), Some(s));
         }
-    }
-
-    #[test]
-    fn parses_the_findings_shape() {
-        let doc = r#"{"schema":"x/v1","total":2,"findings":[{"line":3,"waived":false}]}"#;
-        let v = parse(doc).expect("parse");
-        assert_eq!(v.get("schema").and_then(Value::as_str), Some("x/v1"));
-        assert_eq!(v.get("total").and_then(Value::as_u64), Some(2));
-        let findings = v.get("findings").and_then(Value::as_array).expect("array");
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].get("line").and_then(Value::as_u64), Some(3));
-        assert_eq!(
-            findings[0].get("waived").and_then(Value::as_bool),
-            Some(false)
-        );
-    }
-
-    #[test]
-    fn rejects_garbage_without_panicking() {
-        for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"\\q\""] {
-            assert!(parse(bad).is_err(), "{bad:?}");
-        }
-        // Deep nesting hits the bound instead of the stack.
-        let deep = "[".repeat(1000) + &"]".repeat(1000);
-        assert!(parse(&deep).is_err());
-    }
-
-    #[test]
-    fn numbers_and_integers() {
-        assert_eq!(parse("42").expect("int").as_u64(), Some(42));
-        assert_eq!(parse("-1").expect("neg").as_u64(), None);
-        assert_eq!(parse("1.5").expect("frac").as_u64(), None);
     }
 }

@@ -14,10 +14,6 @@
 //!    fed (exercised by `--self-fuzz` and the fixture tests): malformed
 //!    input degrades to junk punct tokens or an unterminated literal
 //!    that runs to end of file.
-//!
-//! `hypar-allow` pragmas are collected from plain `//` comments (doc
-//! comments are excluded so rule documentation can quote the syntax
-//! without creating a live waiver) and reported alongside the tokens.
 
 /// What a [`Token`] is; rules match on kind plus text.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,34 +53,10 @@ pub struct Token {
     pub end: u32,
 }
 
-/// A `// hypar-allow: <rule> — <justification>` waiver comment.
-///
-/// The pragma suppresses findings of `rule` on its own line and on the
-/// line directly below it, but only when `justification` is non-empty —
-/// an unjustified or unknown-rule pragma is itself a finding.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Pragma {
-    /// 1-based line of the comment.
-    pub line: u32,
-    /// The rule id being waived.
-    pub rule: String,
-    /// Free-text reason after the rule id (dash separators stripped).
-    pub justification: String,
-}
-
-/// The result of lexing one file.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// Token stream in source order.
-    pub tokens: Vec<Token>,
-    /// Every `hypar-allow` pragma, in source order.
-    pub pragmas: Vec<Pragma>,
-}
-
-/// Lexes `source` into tokens and pragmas.  Never panics; malformed
-/// input degrades as described in the module docs.
+/// Lexes `source` into tokens, in source order.  Never panics;
+/// malformed input degrades as described in the module docs.
 #[must_use]
-pub fn lex(source: &str) -> Lexed {
+pub fn lex(source: &str) -> Vec<Token> {
     Cursor::new(source).run()
 }
 
@@ -96,7 +68,7 @@ struct Cursor {
     byte: u32,
     /// Byte offset where the token currently being lexed started.
     token_start: u32,
-    out: Lexed,
+    out: Vec<Token>,
 }
 
 fn is_ident_start(c: char) -> bool {
@@ -115,7 +87,7 @@ impl Cursor {
             line: 1,
             byte: 0,
             token_start: 0,
-            out: Lexed::default(),
+            out: Vec::new(),
         }
     }
 
@@ -123,6 +95,10 @@ impl Cursor {
         self.chars.get(self.pos + ahead).copied()
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a char's UTF-8 encoding is at most 4 bytes"
+    )]
     fn bump(&mut self) -> Option<char> {
         let c = self.peek(0)?;
         self.pos += 1;
@@ -134,7 +110,7 @@ impl Cursor {
     }
 
     fn push(&mut self, kind: TokenKind, text: String, line: u32) {
-        self.out.tokens.push(Token {
+        self.out.push(Token {
             kind,
             text,
             line,
@@ -143,7 +119,7 @@ impl Cursor {
         });
     }
 
-    fn run(mut self) -> Lexed {
+    fn run(mut self) -> Vec<Token> {
         while let Some(c) = self.peek(0) {
             self.token_start = self.byte;
             if c.is_whitespace() {
@@ -183,25 +159,10 @@ impl Cursor {
         self.out
     }
 
-    /// A `//` comment: consumed to end of line; plain (non-doc)
-    /// comments are scanned for a `hypar-allow` pragma.
+    /// A `//` comment: consumed to end of line.
     fn line_comment(&mut self) {
-        let line = self.line;
-        self.bump();
-        self.bump();
-        let doc = matches!(self.peek(0), Some('/' | '!'));
-        let mut text = String::new();
-        while let Some(c) = self.peek(0) {
-            if c == '\n' {
-                break;
-            }
-            text.push(c);
+        while self.peek(0).is_some_and(|c| c != '\n') {
             self.bump();
-        }
-        if !doc {
-            if let Some(pragma) = parse_pragma(&text, line) {
-                self.out.pragmas.push(pragma);
-            }
         }
     }
 
@@ -413,36 +374,12 @@ impl Cursor {
     }
 }
 
-/// Parses a `hypar-allow: <rule> …` pragma out of a comment body.
-fn parse_pragma(comment: &str, line: u32) -> Option<Pragma> {
-    let idx = comment.find("hypar-allow:")?;
-    let rest = comment[idx + "hypar-allow:".len()..].trim_start();
-    let rule_end = rest
-        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-' || c == '_'))
-        .unwrap_or(rest.len());
-    let rule = rest[..rule_end].to_string();
-    let justification = rest[rule_end..]
-        .trim_start()
-        .trim_start_matches(['—', '–', '-', ':'])
-        .trim()
-        .to_string();
-    Some(Pragma {
-        line,
-        rule,
-        justification,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn kinds(source: &str) -> Vec<(TokenKind, String)> {
-        lex(source)
-            .tokens
-            .into_iter()
-            .map(|t| (t.kind, t.text))
-            .collect()
+        lex(source).into_iter().map(|t| (t.kind, t.text)).collect()
     }
 
     #[test]
@@ -508,22 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn pragmas_collected_from_plain_comments_only() {
-        let src = "\
-// hypar-allow: det-wall-clock — timing metric only\n\
-/// hypar-allow: panic-path — doc comments are documentation\n\
-let x = 1; // hypar-allow: det-float-eq\n";
-        let lexed = lex(src);
-        assert_eq!(lexed.pragmas.len(), 2);
-        assert_eq!(lexed.pragmas[0].rule, "det-wall-clock");
-        assert_eq!(lexed.pragmas[0].justification, "timing metric only");
-        assert_eq!(lexed.pragmas[0].line, 1);
-        assert_eq!(lexed.pragmas[1].rule, "det-float-eq");
-        assert_eq!(lexed.pragmas[1].justification, "");
-        assert_eq!(lexed.pragmas[1].line, 3);
-    }
-
-    #[test]
     fn raw_identifiers_are_stripped() {
         let toks = kinds("x.r#unwrap()");
         assert!(toks
@@ -534,9 +455,7 @@ let x = 1; // hypar-allow: det-float-eq\n";
     #[test]
     fn line_numbers_track_every_literal_form() {
         let src = "a\n\"two\nlines\"\nb";
-        let lexed = lex(src);
-        let b = lexed
-            .tokens
+        let b = lex(src)
             .iter()
             .find(|t| t.text == "b")
             .map(|t| t.line)
@@ -547,15 +466,15 @@ let x = 1; // hypar-allow: det-float-eq\n";
     #[test]
     fn byte_spans_slice_back_to_the_source() {
         let src = "let αβ = x.unwrap();";
-        for t in lex(src).tokens {
+        for t in lex(src) {
             let slice = &src[t.start as usize..t.end as usize];
             assert!(!slice.is_empty(), "empty span for {t:?}");
         }
-        let toks = lex("ab cd").tokens;
+        let toks = lex("ab cd");
         assert_eq!((toks[0].start, toks[0].end), (0, 2));
         assert_eq!((toks[1].start, toks[1].end), (3, 5));
         // Prefixed literals span from their prefix byte.
-        let toks = lex("r#\"x\"#").tokens;
+        let toks = lex("r#\"x\"#");
         assert_eq!(toks[0].start, 0);
         assert_eq!(toks[0].end, 6);
     }
@@ -575,7 +494,7 @@ let x = 1; // hypar-allow: det-float-eq\n";
             "1e",
             "0x",
         ] {
-            let _ = lex(src);
+            assert!(lex(src).len() <= src.chars().count(), "{src:?}");
         }
     }
 }

@@ -1,45 +1,27 @@
-//! `hypar-analyzer`: workspace-native static analysis with a ratcheted
-//! CI gate.
+//! `hypar-analyzer`: the workspace checks clippy cannot do.
 //!
-//! Three PRs in a row spent effort *reactively* un-panicking
-//! service-reachable code, and the determinism net (bit-exact
-//! `state_hash`, golden replay) was guarded only by tests.  This crate
-//! makes both classes of invariant a build-time property:
+//! Clippy, driven by the `[workspace.lints.clippy]` table in the root
+//! `Cargo.toml`, enforces the per-site policy of the service crates:
+//! no panics, no wall-clock reads or unordered maps, no
+//! float equality, no narrowing casts, no dropped `Result`s, and every
+//! waiver an `#[expect(lint, reason = "...")]`.  This crate keeps the
+//! three rules that need a whole-workspace view:
 //!
-//! * **panic-path discipline** (`panic-path`, `lock-poison`) — the
-//!   service must degrade to an error JSON, never abort;
-//! * **determinism hazards** (`det-map-iter`, `det-float-eq`,
-//!   `det-wall-clock`) — nothing nondeterministic may feed
-//!   fingerprints or `state_hash`es;
-//! * **structural hazards** (`err-swallow`, `cast-truncate`,
-//!   `lock-scope`) — silently dropped `Result`s, narrowing casts in
-//!   byte/cost math, and lock guards held across planning calls;
-//! * **waiver hygiene** (`bad-pragma`) — every `hypar-allow` escape
-//!   hatch must name a real rule and carry a justification.
+//! * **`lock-scope`** — a lock guard held across a planning call;
+//! * **`lock-order`** — two locks acquired in conflicting orders on two
+//!   call paths (a potential deadlock);
+//! * **`recurse-request`** — an unguarded call cycle reachable from a
+//!   service entry point (a stack-overflow DoS).
 //!
 //! The scanner is a hand-rolled lexer (comments, nested block comments,
 //! raw strings, char-vs-lifetime ticks all handled — **not** regex over
 //! source) feeding a never-panicking brace/paren-matched [`parse`]
-//! layer; token-window rules and structural rules share one masking
-//! pass.  Existing debt is tolerated via the ratcheted [`ratchet`]
-//! baseline, which only ever tightens — and which reached **zero
-//! recorded debt** in PR 9.
-//!
-//! Since PR 10 the analyzer is **interprocedural**: a workspace-wide
-//! [`callgraph`] (nodes `crate::module::fn`, edges only where a call
-//! site resolves unambiguously) seeds a reachability closure at the
-//! configured service entry points (`PlanEngine::plan*`,
-//! `service::handle_*`, the request-loop `main`s, scenario/replay
-//! runners).  `panic-path`/`err-swallow` stop flagging provably
-//! unreachable private helpers, `panic-reach` extends the panic rules
-//! into `models`/`bench` along justified call paths, and two new rules
-//! work directly on the graph: `lock-order` (conflicting lock
-//! acquisition orders across call paths) and `recurse-request`
-//! (unguarded call cycles reachable from an entry point).  Findings on
-//! a reachable path carry an `entry_trace` — the call chain from the
-//! entry point — so reports read like backtraces.  See the
-//! [`callgraph`] module docs for exactly how the two closures are
-//! computed and why each is sound in the direction it is used.
+//! layer, and a workspace-wide [`callgraph`] (nodes `crate::module::fn`,
+//! edges only where a call site resolves unambiguously) seeded at the
+//! configured service entry points.  Findings on a reachable path carry
+//! an `entry_trace` — the call chain from the entry point — so reports
+//! read like backtraces.  Any finding fails the run: the gate tolerates
+//! nothing.
 
 pub mod callgraph;
 pub mod config;
@@ -47,53 +29,32 @@ pub mod fuzz;
 pub mod json;
 pub mod lexer;
 pub mod parse;
-pub mod ratchet;
 pub mod report;
 pub mod rules;
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use config::Config;
-use ratchet::{Baseline, Counts};
 use report::Finding;
-use rules::FnIndex;
-
-/// Default baseline filename at the workspace root.
-pub const BASELINE_FILE: &str = "analyzer-baseline.json";
 
 /// Directory names never descended into while scanning.
 const SKIP_DIRS: &[&str] = &["tests", "fixtures", "target"];
 
-/// Scans the workspace rooted at `root` and returns sorted findings
-/// (waived ones included, marked).
+/// Scans the workspace rooted at `root` and returns sorted findings.
 ///
-/// Two passes: first every file is lexed and parsed and its `fn`
-/// signatures feed the workspace-wide [`FnIndex`] (so `err-swallow`
-/// knows Result-returning callees across crate boundaries), then the
-/// rules run per file against that index.  Walks every configured scan
-/// root; integration `tests/` directories are skipped here and
-/// `#[cfg(test)]` items are masked by the rules.
+/// Every file under the configured scan roots is lexed, parsed, and
+/// checked for `lock-scope`; then the call graph is built and the
+/// interprocedural rules run over it.  Integration `tests/` directories
+/// are skipped here and `#[cfg(test)]` items are masked by the rules.
 pub fn scan_workspace(root: &Path, config: &Config) -> Result<Vec<Finding>, String> {
     let files = collect_files(root, config)?;
-    let mut index = FnIndex::default();
-    for (_, _, _, parsed) in &files {
-        index.add(parsed);
-    }
     let mut findings = Vec::new();
-    for (rel_path, source, lexed, parsed) in &files {
-        let rules = config.rules_for(rel_path);
-        findings.extend(rules::check_file(
-            rel_path, source, lexed, parsed, rules, &index,
-        ));
+    for (rel_path, source, tokens, parsed) in &files {
+        findings.extend(rules::check_file(rel_path, source, tokens, parsed));
     }
-    // The interprocedural pass: build the call graph, scope
-    // `panic-path`/`err-swallow`/`panic-reach` by reachability, attach
-    // entry traces, and run `lock-order`/`recurse-request`.  A
-    // workspace with no entry points skips all of it.
     let graph = callgraph::CallGraph::build(&files, config);
-    let mut findings = rules::interproc::apply(&files, config, &graph, findings);
+    let mut findings = rules::interproc::apply(&files, &graph, findings);
     report::sort(&mut findings);
     Ok(findings)
 }
@@ -108,17 +69,17 @@ pub fn callgraph_of(root: &Path, config: &Config) -> Result<callgraph::CallGraph
 /// Lexes and parses every file under the configured scan roots.
 fn collect_files(root: &Path, config: &Config) -> Result<Vec<callgraph::FileUnit>, String> {
     let mut files = Vec::new();
-    for rel_root in config.scan_roots() {
-        let dir = root.join(&rel_root);
+    for rel_root in &config.scan_roots {
+        let dir = root.join(rel_root);
         if !dir.is_dir() {
             continue;
         }
-        for rel_path in rs_files(&dir, &rel_root)? {
+        for rel_path in rs_files(&dir, rel_root)? {
             let source = fs::read_to_string(root.join(&rel_path))
                 .map_err(|e| format!("reading {rel_path}: {e}"))?;
-            let lexed = lexer::lex(&source);
-            let parsed = parse::parse(&lexed.tokens);
-            files.push((rel_path, source, lexed, parsed));
+            let tokens = lexer::lex(&source);
+            let parsed = parse::parse(&tokens);
+            files.push((rel_path, source, tokens, parsed));
         }
     }
     Ok(files)
@@ -149,92 +110,6 @@ fn rs_files(dir: &Path, rel: &str) -> Result<Vec<String>, String> {
         }
     }
     Ok(out)
-}
-
-/// The result of a `--check` run.
-#[derive(Clone, Debug)]
-pub struct CheckOutcome {
-    /// Per-cell regressions (fail) with their concrete findings.
-    pub regressions: Vec<(ratchet::Delta, Vec<Finding>)>,
-    /// Per-cell improvements (pass; `--bless` tightens).
-    pub improvements: Vec<ratchet::Delta>,
-    /// `bad-pragma` findings always fail, baseline or not: the escape
-    /// hatch must never rust open.
-    pub bad_pragmas: Vec<Finding>,
-    /// Total current findings.
-    pub total: u64,
-}
-
-impl CheckOutcome {
-    /// Whether the gate passes.
-    #[must_use]
-    pub fn passed(&self) -> bool {
-        self.regressions.is_empty() && self.bad_pragmas.is_empty()
-    }
-}
-
-/// Compares the current tree against the baseline at `baseline_path`.
-pub fn run_check(
-    root: &Path,
-    config: &Config,
-    baseline_path: &Path,
-) -> Result<CheckOutcome, String> {
-    let text = fs::read_to_string(baseline_path).map_err(|e| {
-        format!(
-            "reading baseline {}: {e}\nrun `hypar-analyzer --bless` to create it",
-            baseline_path.display()
-        )
-    })?;
-    let baseline = ratchet::parse(&text)?;
-    let findings = scan_workspace(root, config)?;
-    let current = ratchet::counts_of(&findings);
-    let comparison = ratchet::compare(&current, &baseline.counts);
-    let regressions = comparison
-        .regressions
-        .into_iter()
-        .map(|delta| {
-            let concrete: Vec<Finding> = findings
-                .iter()
-                .filter(|f| !f.waived && f.file == delta.file && f.rule == delta.rule)
-                .cloned()
-                .collect();
-            (delta, concrete)
-        })
-        .collect();
-    let bad_pragmas = findings
-        .iter()
-        .filter(|f| f.rule == "bad-pragma")
-        .cloned()
-        .collect();
-    Ok(CheckOutcome {
-        regressions,
-        improvements: comparison.improvements,
-        bad_pragmas,
-        total: ratchet::total(&current),
-    })
-}
-
-/// Rewrites the baseline to the current tree's counts.
-///
-/// Refuses while `bad-pragma` findings exist — a broken waiver must be
-/// fixed, never recorded as tolerated debt.  Returns the new counts.
-pub fn run_bless(root: &Path, config: &Config, baseline_path: &Path) -> Result<Counts, String> {
-    let findings = scan_workspace(root, config)?;
-    let bad: Vec<&Finding> = findings.iter().filter(|f| f.rule == "bad-pragma").collect();
-    if !bad.is_empty() {
-        let mut msg = String::from("refusing to bless: fix these pragmas first\n");
-        for finding in bad {
-            msg.push_str(&format!("  {finding}\n"));
-        }
-        return Err(msg);
-    }
-    let counts = ratchet::counts_of(&findings);
-    let baseline = Baseline::current(counts.clone());
-    let mut file = fs::File::create(baseline_path)
-        .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
-    file.write_all(ratchet::to_json(&baseline).as_bytes())
-        .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
-    Ok(counts)
 }
 
 /// Checks that `root` looks like this workspace (catches running the

@@ -1,33 +1,25 @@
 //! The `hypar-analyzer` command-line front-end.
 //!
 //! ```text
-//! hypar-analyzer                # report every current finding
-//! hypar-analyzer --format json  # same, as a hypar-analyzer-findings/v1 document
-//! hypar-analyzer --check       # gate: fail if any count exceeds the baseline
-//! hypar-analyzer --bless       # rewrite the baseline to current counts
-//! hypar-analyzer --rules       # the rule reference table
-//! hypar-analyzer --self-fuzz N # coverage-guided lexer+parser fuzz (deterministic)
-//! hypar-analyzer --callgraph dot   # workspace call graph, Graphviz
-//! hypar-analyzer --callgraph json  # same, hypar-analyzer-callgraph/v1
+//! hypar-analyzer                  # report every finding
+//! hypar-analyzer --format json    # same, as a hypar-analyzer-findings/v3 document
+//! hypar-analyzer --rules          # the rule reference table
+//! hypar-analyzer --self-fuzz N    # coverage-guided lexer+parser fuzz (deterministic)
+//! hypar-analyzer --callgraph dot  # workspace call graph, Graphviz
+//! hypar-analyzer --callgraph json # same, hypar-analyzer-callgraph/v1
 //! ```
 //!
-//! Exit codes: 0 clean/pass, 1 findings/regressions, 2 usage or I/O
-//! error.
+//! Exit codes: 0 clean, 1 any finding, 2 usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use hypar_analyzer::config::Config;
-use hypar_analyzer::BASELINE_FILE;
-use hypar_analyzer::{
-    callgraph_of, fuzz, ratchet, report, run_bless, run_check, scan_workspace, validate_root,
-};
+use hypar_analyzer::{callgraph_of, fuzz, report, scan_workspace, validate_root};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Mode {
     Report,
-    Check,
-    Bless,
     Rules,
     SelfFuzz { iterations: u64, seed: u64 },
     Callgraph(GraphFormat),
@@ -49,25 +41,20 @@ struct Options {
     mode: Mode,
     format: Format,
     root: PathBuf,
-    baseline: Option<PathBuf>,
 }
 
-const USAGE: &str = "usage: hypar-analyzer [--check | --bless | --rules | --self-fuzz N | \
-                     --callgraph dot|json] [--format text|json] [--root DIR] \
-                     [--baseline FILE] [--seed N]";
+const USAGE: &str = "usage: hypar-analyzer [--rules | --self-fuzz N | --callgraph dot|json] \
+                     [--format text|json] [--root DIR] [--seed N]";
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut mode = Mode::Report;
     let mut format = Format::Text;
     let mut root = PathBuf::from(".");
-    let mut baseline = None;
     let mut seed = fuzz::DEFAULT_SEED;
     let mut fuzz_iterations: Option<u64> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--check" => mode = Mode::Check,
-            "--bless" => mode = Mode::Bless,
             "--rules" => mode = Mode::Rules,
             "--callgraph" => {
                 let which = it
@@ -116,12 +103,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .ok_or(format!("--root needs a directory\n{USAGE}"))?;
                 root = PathBuf::from(dir);
             }
-            "--baseline" => {
-                let file = it
-                    .next()
-                    .ok_or(format!("--baseline needs a file\n{USAGE}"))?;
-                baseline = Some(PathBuf::from(file));
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
         }
@@ -134,12 +115,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--format json only applies to report mode\n{USAGE}"
         ));
     }
-    Ok(Options {
-        mode,
-        format,
-        root,
-        baseline,
-    })
+    Ok(Options { mode, format, root })
 }
 
 fn main() -> ExitCode {
@@ -192,91 +168,28 @@ fn run(options: &Options) -> Result<ExitCode, String> {
         Mode::Report => {
             validate_root(&options.root)?;
             let findings = scan_workspace(&options.root, &config)?;
-            let live = report::live(&findings);
+            let code = if findings.is_empty() {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
+            };
             if options.format == Format::Json {
                 print!("{}", report::findings_json(&findings));
-                return Ok(if live.is_empty() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                });
+                return Ok(code);
             }
-            for finding in &live {
+            for finding in &findings {
                 println!("{finding}");
             }
-            let totals = report::totals(&findings);
-            if live.is_empty() {
+            if findings.is_empty() {
                 println!("no findings");
-                return Ok(ExitCode::SUCCESS);
-            }
-            let summary: Vec<String> = totals
-                .iter()
-                .map(|(rule, count)| format!("{rule}: {count}"))
-                .collect();
-            println!("\n{} findings ({})", live.len(), summary.join(", "));
-            Ok(ExitCode::FAILURE)
-        }
-        Mode::Check => {
-            validate_root(&options.root)?;
-            let baseline_path = options
-                .baseline
-                .clone()
-                .unwrap_or_else(|| options.root.join(BASELINE_FILE));
-            let outcome = run_check(&options.root, &config, &baseline_path)?;
-            for finding in &outcome.bad_pragmas {
-                println!("{finding}");
-            }
-            for (delta, findings) in &outcome.regressions {
-                println!(
-                    "ratchet regression: {} `{}` went {} -> {} (baseline only ever tightens)",
-                    delta.file, delta.rule, delta.baseline, delta.current
-                );
-                for finding in findings {
-                    println!("  {finding}");
-                }
-            }
-            if !outcome.improvements.is_empty() {
-                let burned: u64 = outcome
-                    .improvements
-                    .iter()
-                    .map(|d| d.baseline - d.current)
-                    .sum();
-                println!(
-                    "note: {} finding(s) burned down across {} cell(s) — run `hypar-analyzer --bless` to tighten the baseline",
-                    burned,
-                    outcome.improvements.len()
-                );
-            }
-            if outcome.passed() {
-                println!(
-                    "check passed: {} finding(s) within the ratcheted baseline",
-                    outcome.total
-                );
-                Ok(ExitCode::SUCCESS)
             } else {
-                println!(
-                    "check FAILED: {} regression cell(s), {} bad pragma(s)",
-                    outcome.regressions.len(),
-                    outcome.bad_pragmas.len()
-                );
-                Ok(ExitCode::FAILURE)
+                let summary: Vec<String> = report::totals(&findings)
+                    .iter()
+                    .map(|(rule, count)| format!("{rule}: {count}"))
+                    .collect();
+                println!("\n{} findings ({})", findings.len(), summary.join(", "));
             }
-        }
-        Mode::Bless => {
-            validate_root(&options.root)?;
-            let baseline_path = options
-                .baseline
-                .clone()
-                .unwrap_or_else(|| options.root.join(BASELINE_FILE));
-            let counts = run_bless(&options.root, &config, &baseline_path)?;
-            let total = ratchet::total(&counts);
-            println!(
-                "blessed {} finding(s) across {} file(s) into {}",
-                total,
-                counts.values().filter(|rules| !rules.is_empty()).count(),
-                baseline_path.display()
-            );
-            Ok(ExitCode::SUCCESS)
+            Ok(code)
         }
     }
 }

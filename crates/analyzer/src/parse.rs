@@ -1,8 +1,8 @@
 //! A brace/paren-matched parse layer over the token stream.
 //!
-//! This is deliberately *not* a Rust grammar: the structural rules only
-//! need to reason about statements, call chains, casts, and scopes, so
-//! the parser recovers exactly that much shape and no more:
+//! This is deliberately *not* a Rust grammar: the lock rules and the
+//! call graph only need statements, scopes, and `fn` bodies, so the
+//! parser recovers exactly that much shape and no more:
 //!
 //! * **Blocks** — every `{ .. }` group becomes a [`Block`], recursively.
 //!   Struct literals and match bodies parse as blocks too; the junk
@@ -13,10 +13,8 @@
 //!   the expression (`else`, `;`, `.`, `?`).  Closure bodies nested in
 //!   call arguments still become blocks, so statements inside them are
 //!   visited.
-//! * **`fn` signatures** — name, simple `name: PrimitiveType` params,
-//!   and the rendered return type, enough to build the workspace
-//!   Result-returning-function index and per-function type environments
-//!   for cast source inference.
+//! * **`fn` signatures** — name, line, and body span, enough to build
+//!   the workspace call graph.
 //!
 //! Ambiguity is resolved conservatively: a generic parameter list that
 //! does not close within a bounded window (the turbofish-vs-`<`
@@ -53,19 +51,13 @@ pub struct Block {
     pub stmts: Vec<Stmt>,
 }
 
-/// A `fn` item's signature, as much as the rules need.
+/// A `fn` item's signature, as much as the call graph needs.
 #[derive(Clone, Debug)]
 pub struct FnSig {
     /// The function's bare name.
     pub name: String,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// `(name, type)` for parameters of the simple `name: Type` shape
-    /// where the type is a single identifier token; everything else
-    /// (patterns, references, generics) is skipped.
-    pub params: Vec<(String, String)>,
-    /// Whether the declared return type mentions `Result`.
-    pub returns_result: bool,
     /// Token indices of the body's `{` and `}`, when the fn has a body.
     pub body: Option<(usize, usize)>,
 }
@@ -215,13 +207,6 @@ fn parse_block(tokens: &[Token], open: Option<usize>, start: usize, end: usize) 
     }
 }
 
-/// Primitive numeric type names (the only param/let types the cast rule
-/// can reason about).
-pub const NUMERIC_TYPES: &[&str] = &[
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
-    "f64",
-];
-
 /// How many tokens a generic parameter list may span before the parser
 /// gives up on the `fn` (the turbofish-vs-comparison ambiguity is
 /// resolved by refusing to guess).
@@ -283,29 +268,10 @@ fn parse_fn(tokens: &[Token], at: usize) -> Option<(FnSig, usize)> {
     if !tokens.get(j).is_some_and(|t| is_punct(t, '(')) {
         return None;
     }
-    let params_open = j;
-    let params_close = matching_group(tokens, params_open)?;
-    let params = parse_params(&tokens[params_open + 1..params_close]);
-
-    // Return type: `-> ..` up to `{`, `;`, or `where`.
-    let mut returns_result = false;
+    let params_close = matching_group(tokens, j)?;
+    // Body: the next `{` after the parameters and before any `;` (a `;`
+    // first means a trait method declaration or an extern fn — no body).
     let mut k = params_close + 1;
-    if tokens.get(k).is_some_and(|t| is_punct(t, '-'))
-        && tokens.get(k + 1).is_some_and(|t| is_punct(t, '>'))
-    {
-        k += 2;
-        while let Some(tok) = tokens.get(k) {
-            if is_punct(tok, '{') || is_punct(tok, ';') || is_word(tok, "where") {
-                break;
-            }
-            if is_word(tok, "Result") {
-                returns_result = true;
-            }
-            k += 1;
-        }
-    }
-    // Body: the next `{` before any `;` (a `;` first means a trait
-    // method declaration or an extern fn — no body).
     let mut body = None;
     while let Some(tok) = tokens.get(k) {
         if is_punct(tok, ';') {
@@ -321,8 +287,6 @@ fn parse_fn(tokens: &[Token], at: usize) -> Option<(FnSig, usize)> {
         FnSig {
             name: name_tok.text.clone(),
             line: tokens[at].line,
-            params,
-            returns_result,
             body,
         },
         params_close + 1,
@@ -346,55 +310,13 @@ fn matching_group(tokens: &[Token], open: usize) -> Option<usize> {
     None
 }
 
-/// `name: Type` parameters where `Type` is one identifier; `self`,
-/// patterns, and compound types contribute nothing.
-fn parse_params(tokens: &[Token]) -> Vec<(String, String)> {
-    let mut params = Vec::new();
-    let mut depth = 0usize;
-    let mut angle = 0usize;
-    let mut chunk_start = 0;
-    let mut chunks = Vec::new();
-    for (j, tok) in tokens.iter().enumerate() {
-        if is_punct(tok, '(') || is_punct(tok, '[') || is_punct(tok, '{') {
-            depth += 1;
-        } else if is_punct(tok, ')') || is_punct(tok, ']') || is_punct(tok, '}') {
-            depth = depth.saturating_sub(1);
-        } else if is_punct(tok, '<') {
-            angle += 1;
-        } else if is_punct(tok, '>') {
-            angle = angle.saturating_sub(1);
-        } else if is_punct(tok, ',') && depth == 0 && angle == 0 {
-            chunks.push((chunk_start, j));
-            chunk_start = j + 1;
-        }
-    }
-    chunks.push((chunk_start, tokens.len()));
-    for (start, end) in chunks {
-        let chunk = &tokens[start..end];
-        let colon = chunk.iter().position(|t| is_punct(t, ':'));
-        let Some(colon) = colon else { continue };
-        // The name is the identifier directly before the `:` (covers
-        // `mut x: T`); patterns like `(a, b): (T, U)` end with `)`.
-        let name = match chunk.get(colon.wrapping_sub(1)) {
-            Some(t) if matches!(t.kind, TokenKind::Ident | TokenKind::RawIdent) => t.text.clone(),
-            _ => continue,
-        };
-        // Single-identifier types only, so the environment never lies.
-        let ty = &chunk[colon + 1..];
-        if ty.len() == 1 && ty[0].kind == TokenKind::Ident {
-            params.push((name, ty[0].text.clone()));
-        }
-    }
-    params
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
 
     fn parsed(src: &str) -> Parsed {
-        parse(&lex(src).tokens)
+        parse(&lex(src))
     }
 
     #[test]
@@ -427,7 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn fn_signatures_capture_name_params_and_result() {
+    fn fn_signatures_capture_name_line_and_body() {
         let p = parsed(
             "fn plain(n: usize, s: &str) -> u32 { 0 }\n\
              pub fn failing(x: u64) -> Result<(), String> { Ok(()) }\n\
@@ -436,11 +358,8 @@ mod tests {
         );
         let names: Vec<&str> = p.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["plain", "failing", "io_like", "unit"]);
-        assert_eq!(p.fns[0].params, vec![("n".into(), "usize".into())]);
-        assert!(!p.fns[0].returns_result);
-        assert!(p.fns[1].returns_result);
-        assert!(p.fns[2].returns_result);
-        assert!(!p.fns[3].returns_result);
+        let lines: Vec<u32> = p.fns.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![1, 2, 3, 4]);
         assert!(p.fns.iter().all(|f| f.body.is_some()));
     }
 
@@ -451,13 +370,8 @@ mod tests {
              trait T { fn decl(&self) -> Result<(), ()>; }\n",
         );
         assert_eq!(p.fns.len(), 2);
-        assert!(p.fns[0].returns_result);
-        // Single-ident types are all captured; consumers filter (the
-        // cast rule only trusts numeric primitives).
-        assert_eq!(
-            p.fns[0].params,
-            vec![("v".into(), "T".into()), ("n".into(), "u32".into())]
-        );
+        assert_eq!(p.fns[0].name, "generic");
+        assert!(p.fns[0].body.is_some());
         assert!(p.fns[1].body.is_none());
     }
 
@@ -470,7 +384,7 @@ mod tests {
     #[test]
     fn enclosing_fn_finds_the_innermost_body() {
         let src = "fn outer() { fn inner(k: u8) { mark(); } }";
-        let tokens = lex(src).tokens;
+        let tokens = lex(src);
         let p = parse(&tokens);
         let mark = tokens.iter().position(|t| t.text == "mark").expect("mark");
         assert_eq!(p.enclosing_fn(mark).map(|f| f.name.as_str()), Some("inner"));
@@ -480,7 +394,6 @@ mod tests {
     fn where_clauses_do_not_hide_the_body() {
         let p = parsed("fn f<T>(x: T) -> Result<T, ()> where T: Clone { Err(()) }");
         assert_eq!(p.fns.len(), 1);
-        assert!(p.fns[0].returns_result);
         assert!(p.fns[0].body.is_some());
     }
 
@@ -508,9 +421,9 @@ mod tests {
             "|| {",
             "fn f<T>>>(x: T) {}",
         ] {
-            let lexed = lex(src);
-            let p = parse(&lexed.tokens);
-            assert!(p.stmt_count() <= lexed.tokens.len() + 1, "{src:?}");
+            let tokens = lex(src);
+            let p = parse(&tokens);
+            assert!(p.stmt_count() <= tokens.len() + 1, "{src:?}");
         }
     }
 }

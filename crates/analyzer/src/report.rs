@@ -8,58 +8,15 @@ use crate::json::escape;
 
 /// The rule reference: `(id, what it catches, how to satisfy it)`.
 ///
-/// Kept as data so `--rules`, the README table, and pragma validation
-/// all read from one place.
+/// Kept as data so `--rules` and the README table read from one place.
+/// Every other check — the panic family, wall clocks, unordered maps,
+/// float equality, narrowing casts, dropped `Result`s — is a clippy
+/// lint in the workspace `[workspace.lints.clippy]` table.
 pub const RULES: &[(&str, &str, &str)] = &[
-    (
-        "panic-path",
-        "`.unwrap()`, `.expect(`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` in service-reachable code",
-        "return a typed error; the service must degrade to an error JSON, never abort",
-    ),
-    (
-        "lock-poison",
-        "`.lock().unwrap()` / `.lock().expect(` — propagates mutex poison, turning one panicked thread into an outage",
-        "recover with `unwrap_or_else(PoisonError::into_inner)` (the `PlanCache` pattern) or surface a typed error",
-    ),
-    (
-        "det-map-iter",
-        "`HashMap`/`HashSet` in a module that feeds fingerprints or `state_hash`es",
-        "use a `BTreeMap`, a sorted `Vec`, or the IR's canonical ordering",
-    ),
-    (
-        "det-float-eq",
-        "float `==`/`!=` comparison against a float literal",
-        "compare `to_bits()`, use an epsilon, or waive an exact-zero sentinel with a pragma",
-    ),
-    (
-        "det-wall-clock",
-        "`Instant::now`/`SystemTime` outside the telemetry/timing layer",
-        "thread time through telemetry, or waive a metrics-only site with a pragma",
-    ),
-    (
-        "err-swallow",
-        "a `Result`-returning call discarded — bare statement, `let _ =`, or `.ok()` dropped on the floor",
-        "propagate with `?`, handle the `Err` arm, or log it via the recorder's degraded path",
-    ),
-    (
-        "cast-truncate",
-        "a narrowing `as` cast (`usize as u32`, `u64 as usize`, float→int) in comm byte math or cost/fingerprint paths",
-        "use `try_from` with a typed error, or widen the destination type",
-    ),
     (
         "lock-scope",
         "a `.lock()` guard held across a call into `plan`/`refine`/`simulate`/`stitch`",
         "copy what you need out of the guard and `drop(guard)` before planning (the PlanCache pattern)",
-    ),
-    (
-        "bad-pragma",
-        "a `hypar-allow` pragma naming an unknown rule or carrying no justification",
-        "write `// hypar-allow: <rule> — <why this site is safe>`",
-    ),
-    (
-        "panic-reach",
-        "the panic family in a reach crate (`models`/`bench`) on a justified call path from a service entry point (call-graph scoped; the `entry_trace` names the path)",
-        "return a typed error along the reachable path, or restructure so request input cannot reach the panic",
     ),
     (
         "lock-order",
@@ -72,12 +29,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
         "bound the recursion with an explicit depth or budget parameter, or rewrite iteratively",
     ),
 ];
-
-/// True if `rule` is one of [`RULES`].
-#[must_use]
-pub fn known_rule(rule: &str) -> bool {
-    RULES.iter().any(|(id, _, _)| *id == rule)
-}
 
 /// One rule violation at a source location.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -94,23 +45,15 @@ pub struct Finding {
     pub span: (u32, u32),
     /// The trimmed source line the finding sits on.
     pub snippet: String,
-    /// Whether a justified `hypar-allow` pragma waives this finding.
-    /// Waived findings are excluded from counts and text output but kept
-    /// in the JSON document so tooling sees the full picture.
-    pub waived: bool,
     /// The justified call chain from a service entry point to the
     /// enclosing fn (`crate::module::fn` labels, entry first).  Empty
     /// when the finding is not on a must-reachable path (or the
     /// workspace has no entry points).
     pub entry_trace: Vec<String>,
-    /// The waiving pragma's justification text, so the JSON document is
-    /// auditable standalone.  `None` unless `waived`.
-    pub justification: Option<String>,
 }
 
 impl Finding {
-    /// A finding with no span/snippet context (pragma diagnostics and
-    /// tests).
+    /// A finding with no span/snippet context.
     #[must_use]
     pub fn bare(file: &str, line: u32, rule: &'static str, message: String) -> Self {
         Finding {
@@ -120,9 +63,7 @@ impl Finding {
             message,
             span: (0, 0),
             snippet: String::new(),
-            waived: false,
             entry_trace: Vec::new(),
-            justification: None,
         }
     }
 }
@@ -143,18 +84,11 @@ pub fn sort(findings: &mut [Finding]) {
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
 }
 
-/// Drops waived findings — the live set that counts against the gate.
-#[must_use]
-pub fn live(findings: &[Finding]) -> Vec<Finding> {
-    findings.iter().filter(|f| !f.waived).cloned().collect()
-}
-
-/// Per-rule totals over the live (non-waived) findings, sorted by rule
-/// id.
+/// Per-rule totals, sorted by rule id.
 #[must_use]
 pub fn totals(findings: &[Finding]) -> BTreeMap<&'static str, u64> {
     let mut totals = BTreeMap::new();
-    for finding in findings.iter().filter(|f| !f.waived) {
+    for finding in findings {
         *totals.entry(finding.rule).or_insert(0) += 1;
     }
     totals
@@ -170,8 +104,8 @@ pub fn rules_table() -> String {
         ));
     }
     out.push_str(
-        "\nwaivers: `// hypar-allow: <rule> — <justification>` on the offending \
-         line or the line above; unjustified pragmas are `bad-pragma` findings.\n",
+        "\nevery other check is a clippy lint: see [workspace.lints.clippy] in \
+         Cargo.toml; waive a site with #[expect(clippy::<lint>, reason = \"...\")].\n",
     );
     out
 }
@@ -179,38 +113,33 @@ pub fn rules_table() -> String {
 /// Schema identifier stamped into every `--format json` document.
 ///
 /// The schema is append-only: consumers must tolerate unknown keys, and
-/// any breaking change bumps the version suffix.  v2 adds `entry_trace`
-/// (the call chain from a service entry point, so findings read like
-/// backtraces) and `justification` (the waiving pragma's text).
-pub const FINDINGS_SCHEMA: &str = "hypar-analyzer-findings/v2";
+/// any breaking change bumps the version suffix.  v3 drops the `waived`
+/// count and the per-finding `waived`/`justification` fields: there are
+/// no analyzer waivers any more.
+pub const FINDINGS_SCHEMA: &str = "hypar-analyzer-findings/v3";
 
 /// Serializes findings as the stable machine-readable document:
 ///
 /// ```json
 /// {
-///   "schema": "hypar-analyzer-findings/v2",
-///   "total": 2,          // live (non-waived) findings
-///   "waived": 1,         // findings suppressed by a justified pragma
-///   "totals": {"panic-path": 2},
+///   "schema": "hypar-analyzer-findings/v3",
+///   "total": 1,
+///   "totals": {"lock-scope": 1},
 ///   "findings": [
 ///     {"rule": "...", "file": "...", "line": 7,
 ///      "span": {"start": 120, "end": 131},
-///      "snippet": "x.unwrap()", "message": "...", "waived": false,
-///      "entry_trace": ["engine::service::handle_line", "engine::engine::plan"],
-///      "justification": null}
+///      "snippet": "let guard = cache.lock();", "message": "...",
+///      "entry_trace": ["engine::service::handle_line", "engine::engine::plan"]}
 ///   ]
 /// }
 /// ```
 ///
-/// Findings appear in [`sort`] order, waived ones included.
+/// Findings appear in [`sort`] order.
 #[must_use]
 pub fn findings_json(findings: &[Finding]) -> String {
-    let live_count = findings.iter().filter(|f| !f.waived).count();
-    let waived_count = findings.len() - live_count;
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"schema\": {},\n", escape(FINDINGS_SCHEMA)));
-    out.push_str(&format!("  \"total\": {live_count},\n"));
-    out.push_str(&format!("  \"waived\": {waived_count},\n"));
+    out.push_str(&format!("  \"total\": {},\n", findings.len()));
     out.push_str("  \"totals\": {");
     let totals = totals(findings);
     let mut first = true;
@@ -238,15 +167,10 @@ pub fn findings_json(findings: &[Finding]) -> String {
             .map(|hop| escape(hop))
             .collect::<Vec<_>>()
             .join(", ");
-        let justification = f
-            .justification
-            .as_deref()
-            .map_or_else(|| "null".to_string(), escape);
         out.push_str(&format!(
             "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \
              \"span\": {{\"start\": {}, \"end\": {}}}, \"snippet\": {}, \
-             \"message\": {}, \"waived\": {}, \"entry_trace\": [{trace}], \
-             \"justification\": {justification}}}",
+             \"message\": {}, \"entry_trace\": [{trace}]}}",
             escape(f.rule),
             escape(&f.file),
             f.line,
@@ -254,7 +178,6 @@ pub fn findings_json(findings: &[Finding]) -> String {
             f.span.1,
             escape(&f.snippet),
             escape(&f.message),
-            f.waived
         ));
     }
     if !first {
@@ -267,28 +190,24 @@ pub fn findings_json(findings: &[Finding]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use serde_json::Value;
+
+    fn parse(doc: &str) -> Value {
+        serde_json::from_str(doc).expect("valid json")
+    }
 
     #[test]
     fn display_is_clickable() {
         let f = Finding::bare(
             "crates/engine/src/service.rs",
             42,
-            "panic-path",
-            "`.unwrap()` can abort the service".into(),
+            "lock-scope",
+            "guard `g` is still live".into(),
         );
         assert_eq!(
             f.to_string(),
-            "crates/engine/src/service.rs:42: panic-path: `.unwrap()` can abort the service"
+            "crates/engine/src/service.rs:42: lock-scope: guard `g` is still live"
         );
-    }
-
-    #[test]
-    fn every_rule_id_is_known() {
-        for (id, _, _) in RULES {
-            assert!(known_rule(id));
-        }
-        assert!(!known_rule("no-such-rule"));
     }
 
     #[test]
@@ -297,9 +216,9 @@ mod tests {
             Finding::bare(file, line, rule, String::new())
         };
         let mut findings = vec![
-            mk("b.rs", 1, "panic-path"),
-            mk("a.rs", 9, "panic-path"),
-            mk("a.rs", 2, "lock-poison"),
+            mk("b.rs", 1, "lock-scope"),
+            mk("a.rs", 9, "lock-scope"),
+            mk("a.rs", 2, "lock-order"),
         ];
         sort(&mut findings);
         assert_eq!(
@@ -312,62 +231,36 @@ mod tests {
     }
 
     #[test]
-    fn waived_findings_leave_totals_but_not_the_document() {
-        let mut waived = Finding::bare("a.rs", 1, "panic-path", "m".into());
-        waived.waived = true;
-        let findings = vec![waived, Finding::bare("a.rs", 2, "panic-path", "m".into())];
-        assert_eq!(totals(&findings).get("panic-path"), Some(&1));
-        assert_eq!(live(&findings).len(), 1);
-
-        let doc = json::parse(&findings_json(&findings)).expect("valid json");
-        assert_eq!(
-            doc.get("schema").and_then(json::Value::as_str),
-            Some(FINDINGS_SCHEMA)
-        );
-        assert_eq!(doc.get("total").and_then(json::Value::as_u64), Some(1));
-        assert_eq!(doc.get("waived").and_then(json::Value::as_u64), Some(1));
-        let listed = doc
-            .get("findings")
-            .and_then(json::Value::as_array)
-            .expect("findings array");
-        assert_eq!(listed.len(), 2, "waived findings stay in the document");
-        assert_eq!(
-            listed[0].get("waived").and_then(json::Value::as_bool),
-            Some(true)
-        );
-    }
-
-    #[test]
     fn findings_json_escapes_and_carries_spans() {
         let finding = Finding {
             file: "a.rs".into(),
             line: 3,
-            rule: "err-swallow",
-            message: "discarded \"Result\"".into(),
+            rule: "lock-scope",
+            message: "guard \"g\" is live".into(),
             span: (10, 25),
-            snippet: "do_io();".into(),
-            waived: false,
+            snippet: "let g = c.lock();".into(),
             entry_trace: vec![
                 "engine::service::handle_line".into(),
                 "engine::engine::plan".into(),
             ],
-            justification: None,
         };
-        let doc = json::parse(&findings_json(&[finding])).expect("valid json");
-        let f = &doc
-            .get("findings")
-            .and_then(json::Value::as_array)
-            .expect("arr")[0];
+        let doc = parse(&findings_json(&[finding]));
         assert_eq!(
-            f.get("message").and_then(json::Value::as_str),
-            Some("discarded \"Result\"")
+            doc.get("schema").and_then(Value::as_str),
+            Some(FINDINGS_SCHEMA)
+        );
+        assert_eq!(doc.get("total").and_then(Value::as_u64), Some(1));
+        let f = &doc.get("findings").and_then(Value::as_array).expect("arr")[0];
+        assert_eq!(
+            f.get("message").and_then(Value::as_str),
+            Some("guard \"g\" is live")
         );
         let span = f.get("span").expect("span");
-        assert_eq!(span.get("start").and_then(json::Value::as_u64), Some(10));
-        assert_eq!(span.get("end").and_then(json::Value::as_u64), Some(25));
+        assert_eq!(span.get("start").and_then(Value::as_u64), Some(10));
+        assert_eq!(span.get("end").and_then(Value::as_u64), Some(25));
         let trace = f
             .get("entry_trace")
-            .and_then(json::Value::as_array)
+            .and_then(Value::as_array)
             .expect("entry_trace array");
         assert_eq!(trace.len(), 2);
         assert_eq!(
@@ -375,35 +268,12 @@ mod tests {
             Some("engine::service::handle_line"),
             "entry first"
         );
-        assert!(
-            matches!(f.get("justification"), Some(json::Value::Null)),
-            "unwaived findings carry a null justification"
-        );
-    }
-
-    #[test]
-    fn waived_findings_carry_the_pragma_justification() {
-        let mut finding = Finding::bare("a.rs", 1, "panic-path", "m".into());
-        finding.waived = true;
-        finding.justification = Some("static literal validated by tests".into());
-        let doc = json::parse(&findings_json(&[finding])).expect("valid json");
-        let f = &doc
-            .get("findings")
-            .and_then(json::Value::as_array)
-            .expect("arr")[0];
-        assert_eq!(
-            f.get("justification").and_then(json::Value::as_str),
-            Some("static literal validated by tests")
-        );
     }
 
     #[test]
     fn empty_findings_still_produce_a_valid_document() {
-        let doc = json::parse(&findings_json(&[])).expect("valid json");
-        assert_eq!(doc.get("total").and_then(json::Value::as_u64), Some(0));
-        assert_eq!(
-            doc.get("findings").and_then(json::Value::as_array),
-            Some(&[][..])
-        );
+        let doc = parse(&findings_json(&[]));
+        assert_eq!(doc.get("total").and_then(Value::as_u64), Some(0));
+        assert_eq!(doc.get("findings").and_then(Value::as_array), Some(&[][..]));
     }
 }

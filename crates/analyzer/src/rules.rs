@@ -1,35 +1,23 @@
 //! Rule orchestration over a lexed + parsed file.
 //!
-//! Rules come in two passes sharing one masking layer:
+//! Two passes share one masking layer:
 //!
-//! * [`lexical`] — token-window rules (panic-path, lock-poison,
-//!   det-map-iter, det-float-eq, det-wall-clock) that only ever look a
-//!   few tokens ahead;
-//! * [`structural`] — rules that need statement and scope shape from
-//!   [`crate::parse`] (err-swallow, cast-truncate, lock-scope).
+//! * [`structural`] — `lock-scope`, which needs statement and scope
+//!   shape from [`crate::parse`];
+//! * [`interproc`] — `lock-order` and `recurse-request`, which run over
+//!   the workspace [`crate::callgraph`].
 //!
-//! Masking applied before either pass:
-//!
-//! * **Test code is exempt** — any item under a `#[cfg(test)]` /
-//!   `#[test]` attribute (the attribute, plus the following braced block
-//!   or `;`-terminated item) is skipped.  Integration `tests/`
-//!   directories never reach the scanner at all.
-//! * **Waivers** — a justified `// hypar-allow: <rule> — <why>` pragma
-//!   on the finding's line or the line above marks it waived; waived
-//!   findings stay out of counts and text output but remain visible to
-//!   `--format json`.  Pragmas with an unknown rule or no justification
-//!   become `bad-pragma` findings instead of waiving anything.
+//! **Test code is exempt**: any item under a `#[cfg(test)]` / `#[test]`
+//! attribute (the attribute, plus the following braced block or
+//! `;`-terminated item) is masked out of both passes.  Integration
+//! `tests/` directories never reach the scanner at all.
 
 pub(crate) mod interproc;
-pub mod lexical;
 pub mod structural;
 
-use crate::config::RuleSet;
-use crate::lexer::{Lexed, Pragma, Token, TokenKind};
+use crate::lexer::{Token, TokenKind};
 use crate::parse::Parsed;
-use crate::report::{known_rule, Finding};
-
-pub use structural::FnIndex;
+use crate::report::Finding;
 
 /// Shared per-file context for finding construction.
 pub(crate) struct Ctx<'a> {
@@ -65,15 +53,13 @@ impl Ctx<'_> {
             message,
             span: (start, end),
             snippet: snippet_of(self.source, line_tok.line),
-            waived: false,
             entry_trace: Vec::new(),
-            justification: None,
         }
     }
 }
 
 /// The trimmed source text of 1-based `line`.
-fn snippet_of(source: &str, line: u32) -> String {
+pub(crate) fn snippet_of(source: &str, line: u32) -> String {
     source
         .lines()
         .nth(line.saturating_sub(1) as usize)
@@ -81,46 +67,30 @@ fn snippet_of(source: &str, line: u32) -> String {
         .unwrap_or_default()
 }
 
-/// Runs every applicable rule over one file.  Waived findings are
-/// returned with `waived == true`; callers filter with
-/// [`crate::report::live`] where only the gate-relevant set matters.
+/// Runs the per-file rule (`lock-scope`) over one file.
 #[must_use]
-pub fn check_file(
-    path: &str,
-    source: &str,
-    lexed: &Lexed,
-    parsed: &Parsed,
-    rules: RuleSet,
-    index: &FnIndex,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    check_pragmas(path, &lexed.pragmas, &mut findings);
-    if rules.is_empty() {
-        return apply_pragmas(&lexed.pragmas, findings);
-    }
-    let masked = test_mask(&lexed.tokens);
+pub fn check_file(path: &str, source: &str, tokens: &[Token], parsed: &Parsed) -> Vec<Finding> {
+    let masked = test_mask(tokens);
     let ctx = Ctx {
         path,
         source,
-        tokens: &lexed.tokens,
+        tokens,
     };
-    lexical::check(&ctx, &masked, rules, &mut findings);
-    structural::check(&ctx, parsed, &masked, rules, index, &mut findings);
-    apply_pragmas(&lexed.pragmas, findings)
+    let mut findings = Vec::new();
+    structural::check(&ctx, &parsed.root, &masked, &mut findings);
+    findings
 }
 
-/// Convenience for tests and the fuzzer: lexes, parses, builds a
-/// same-file [`FnIndex`], and runs [`check_file`].
+/// Convenience for tests and the fuzzer: lexes, parses, and runs
+/// [`check_file`].
 #[must_use]
-pub fn check_source(path: &str, source: &str, rules: RuleSet) -> Vec<Finding> {
-    let lexed = crate::lexer::lex(source);
-    let parsed = crate::parse::parse(&lexed.tokens);
-    let mut index = FnIndex::default();
-    index.add(&parsed);
-    check_file(path, source, &lexed, &parsed, rules, &index)
+pub fn check_source(path: &str, source: &str) -> Vec<Finding> {
+    let tokens = crate::lexer::lex(source);
+    let parsed = crate::parse::parse(&tokens);
+    check_file(path, source, &tokens, &parsed)
 }
 
-/// Ident or raw ident (`r#unwrap` behaves like `unwrap`).
+/// Ident or raw ident (`r#lock` behaves like `lock`).
 pub(crate) fn is_word(tok: &Token) -> bool {
     matches!(tok.kind, TokenKind::Ident | TokenKind::RawIdent)
 }
@@ -202,229 +172,69 @@ fn item_end(tokens: &[Token], from: usize) -> usize {
     tokens.len().saturating_sub(1)
 }
 
-/// Validates every pragma (unknown rule / missing justification →
-/// `bad-pragma`).
-fn check_pragmas(path: &str, pragmas: &[Pragma], findings: &mut Vec<Finding>) {
-    for pragma in pragmas {
-        let problem = if !known_rule(&pragma.rule) {
-            Some(format!(
-                "hypar-allow names unknown rule `{}` (see --rules)",
-                pragma.rule
-            ))
-        } else if pragma.justification.is_empty() {
-            Some(format!(
-                "hypar-allow for `{}` carries no justification; write \
-                 `hypar-allow: {} — <why this site is safe>`",
-                pragma.rule, pragma.rule
-            ))
-        } else {
-            None
-        };
-        if let Some(message) = problem {
-            findings.push(Finding::bare(path, pragma.line, "bad-pragma", message));
-        }
-    }
-}
-
-/// Marks findings waived by a *valid* pragma on the same line or the
-/// line above, carrying the pragma's justification into the finding so
-/// the JSON document is auditable standalone.  `bad-pragma` findings
-/// are never waivable.
-fn apply_pragmas(pragmas: &[Pragma], mut findings: Vec<Finding>) -> Vec<Finding> {
-    for finding in &mut findings {
-        if finding.rule == "bad-pragma" {
-            continue;
-        }
-        let waiver = pragmas.iter().find(|pragma| {
-            pragma.rule == finding.rule
-                && !pragma.justification.is_empty()
-                && known_rule(&pragma.rule)
-                && (pragma.line == finding.line || pragma.line + 1 == finding.line)
-        });
-        if let Some(pragma) = waiver {
-            finding.waived = true;
-            finding.justification = Some(pragma.justification.clone());
-        }
-    }
-    findings
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::live;
 
-    /// Live (non-waived) findings with every rule on.
-    fn run(source: &str) -> Vec<Finding> {
-        live(&check_source("test.rs", source, RuleSet::all()))
-    }
+    /// A guard held across a planning call: one `lock-scope` finding.
+    const HELD: &str = "let g = c.m.lock(); plan_many(&g.r);";
 
-    fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
-        findings.iter().map(|f| f.rule).collect()
+    fn lines_of(findings: &[Finding]) -> Vec<u32> {
+        findings.iter().map(|f| f.line).collect()
     }
 
     #[test]
-    fn flags_the_panic_family() {
-        let findings = run("fn f(x: Option<u8>) -> u8 {\n    \
-             if x.is_none() { panic!(\"no\") }\n    \
-             x.unwrap()\n}\n\
-             fn g() { unreachable!() }\n\
-             fn h(r: Result<u8, u8>) -> u8 { r.expect(\"msg\") }\n");
-        assert_eq!(
-            rules_of(&findings),
-            vec!["panic-path", "panic-path", "panic-path", "panic-path"]
+    fn cfg_test_items_are_exempt() {
+        let findings = check_source(
+            "test.rs",
+            &format!(
+                "fn live() {{ {HELD} }}\n\
+                 #[cfg(test)]\nmod tests {{\n    fn t() {{ {HELD} }}\n}}\n\
+                 #[test]\nfn one_test() {{ {HELD} }}\n\
+                 fn live_too() {{ {HELD} }}\n"
+            ),
         );
-        assert_eq!(findings[0].line, 2);
-        assert_eq!(findings[1].line, 3);
+        assert_eq!(lines_of(&findings), vec![1, 8]);
     }
 
     #[test]
-    fn unwrap_without_receiver_dot_is_not_flagged() {
-        assert!(run("fn unwrap() {} fn caller() { unwrap(); }").is_empty());
-        assert!(run("let x = y.unwrap_or_else(f);").is_empty());
-        assert!(run("let x = y.unwrap_or(0);").is_empty());
+    fn stacked_attributes_stay_exempt() {
+        let findings = check_source(
+            "test.rs",
+            &format!(
+                "#[cfg(test)]\n#[expect(dead_code)]\nmod tests {{ fn t() {{ {HELD} }} }}\n\
+                 fn live() {{ {HELD} }}\n"
+            ),
+        );
+        assert_eq!(lines_of(&findings), vec![4]);
     }
 
     #[test]
-    fn lock_poison_subsumes_the_unwrap() {
-        let findings = run("fn f(m: &Mutex<u8>) -> u8 { *m.lock().unwrap() }");
-        assert_eq!(rules_of(&findings), vec!["lock-poison"]);
-        let findings = run("fn f(m: &Mutex<u8>) -> u8 { *m.lock().expect(\"poisoned\") }");
-        assert_eq!(rules_of(&findings), vec!["lock-poison"]);
-        // The recovering idiom passes both rules.
-        assert!(run(
-            "fn f(m: &Mutex<u8>) -> u8 { *m.lock().unwrap_or_else(PoisonError::into_inner) }"
+    fn comments_strings_and_chars_never_trip_rules() {
+        assert!(check_source(
+            "test.rs",
+            "fn f(c: &C) {\n\
+             // let g = c.m.lock(); plan_many(&g.r);\n\
+             /* let g = c.m.lock(); /* nested */ plan_many(&g.r); */\n\
+             let s = \"let g = c.m.lock(); plan_many(&g.r);\";\n\
+             let r = r#\"let g = c.m.lock(); \"plan_many(&g.r)\";\"#;\n\
+             let q = '\"';\n}\n"
         )
         .is_empty());
     }
 
     #[test]
-    fn map_iter_flags_unordered_containers() {
-        let findings = run("use std::collections::HashMap;\nstruct S { m: HashSet<u8> }");
-        assert_eq!(rules_of(&findings), vec!["det-map-iter", "det-map-iter"]);
-        assert!(run("use std::collections::BTreeMap;").is_empty());
-    }
-
-    #[test]
-    fn float_eq_needs_a_float_literal_neighbor() {
-        assert_eq!(rules_of(&run("if x == 0.0 { }")), vec!["det-float-eq"]);
-        assert_eq!(rules_of(&run("if 1.5 != y { }")), vec!["det-float-eq"]);
-        assert!(run("if x <= 0.0 { }").is_empty(), "<= is ordering, not eq");
-        assert!(run("if x >= 1.5 { }").is_empty());
-        assert!(run("if a.to_bits() == b.to_bits() { }").is_empty());
-        assert!(run("if n == 0 { }").is_empty(), "integer equality is fine");
-    }
-
-    #[test]
-    fn wall_clock_patterns() {
-        assert_eq!(
-            rules_of(&run("let t = Instant::now();")),
-            vec!["det-wall-clock"]
-        );
-        assert_eq!(
-            rules_of(&run("let t = std::time::SystemTime::now();")),
-            vec!["det-wall-clock"]
-        );
-        assert!(run("let d = started.elapsed();").is_empty());
-        assert!(
-            run("struct S { started: Instant }").is_empty(),
-            "type mentions alone are not reads"
-        );
-    }
-
-    #[test]
-    fn cfg_test_items_are_exempt() {
-        let findings = run("fn live() { x.unwrap(); }\n\
-             #[cfg(test)]\nmod tests {\n    fn t() { y.unwrap(); panic!(); }\n}\n\
-             #[test]\nfn one_test() { z.unwrap(); }\n\
-             fn live_too() { w.unwrap(); }\n");
-        assert_eq!(rules_of(&findings), vec!["panic-path", "panic-path"]);
-        assert_eq!(findings[0].line, 1);
-        assert_eq!(findings[1].line, 8);
-    }
-
-    #[test]
-    fn stacked_attributes_stay_exempt() {
-        let findings = run(
-            "#[cfg(test)]\n#[allow(dead_code)]\nmod tests { fn t() { x.unwrap(); } }\n\
-             fn live() { y.unwrap(); }\n",
-        );
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].line, 4);
-    }
-
-    #[test]
-    fn justified_pragma_waives_same_line_and_next_line() {
-        assert!(run("// hypar-allow: det-wall-clock — latency metric only\n\
-             let t = Instant::now();\n")
-        .is_empty());
-        assert!(
-            run("let t = Instant::now(); // hypar-allow: det-wall-clock — metric\n").is_empty()
-        );
-        // The waiver is rule-specific.
-        let findings = run("// hypar-allow: det-wall-clock — metric\n\
-             let t = x.unwrap();\n");
-        assert_eq!(rules_of(&findings), vec!["panic-path"]);
-        // And line-specific: two lines below is out of range.
-        let findings = run("// hypar-allow: det-wall-clock — metric\n\
-             let a = 1;\n\
-             let t = Instant::now();\n");
-        assert_eq!(rules_of(&findings), vec!["det-wall-clock"]);
-    }
-
-    #[test]
-    fn waived_findings_are_marked_not_dropped() {
-        let all = check_source(
-            "test.rs",
-            "// hypar-allow: det-wall-clock — latency metric only\n\
-             let t = Instant::now();\n",
-            RuleSet::all(),
-        );
-        assert_eq!(all.len(), 1);
-        assert!(all[0].waived);
-        assert!(live(&all).is_empty());
-    }
-
-    #[test]
-    fn unjustified_or_unknown_pragmas_are_findings_and_do_not_waive() {
-        let findings = run("// hypar-allow: det-wall-clock\n\
-             let t = Instant::now();\n");
-        assert_eq!(rules_of(&findings), vec!["bad-pragma", "det-wall-clock"]);
-
-        let findings = run("// hypar-allow: no-such-rule — reasons\n\
-             let t = Instant::now();\n");
-        assert_eq!(rules_of(&findings), vec!["bad-pragma", "det-wall-clock"]);
-    }
-
-    #[test]
-    fn comments_strings_and_chars_never_trip_rules() {
-        assert!(run("// x.unwrap() panic!()\n\
-             /* .lock().unwrap() /* nested */ */\n\
-             let s = \"x.unwrap()\";\n\
-             let r = r#\"panic!(\"inside\")\"#;\n\
-             let q = '\"';\n")
-        .is_empty());
-    }
-
-    #[test]
-    fn scoped_rulesets_only_fire_their_rules() {
-        let src = "let m = HashMap::new(); let t = Instant::now(); x.unwrap();";
-        let only_panic = RuleSet {
-            panic_path: true,
-            ..RuleSet::default()
-        };
-        let findings = live(&check_source("f.rs", src, only_panic));
-        assert_eq!(rules_of(&findings), vec!["panic-path"]);
-    }
-
-    #[test]
     fn findings_carry_spans_and_snippets() {
-        let src = "fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n";
-        let findings = run(src);
+        let src = "fn f(c: &C) {\n    let g = c.m.lock();\n    plan_many(&g.r);\n}\n";
+        let findings = check_source("test.rs", src);
         assert_eq!(findings.len(), 1);
         let (start, end) = findings[0].span;
         let text = &src[start as usize..end as usize];
-        assert!(text.contains("unwrap"), "span {start}..{end} -> {text:?}");
-        assert_eq!(findings[0].snippet, "x.unwrap()");
+        assert!(text.starts_with("let g"), "span {start}..{end} -> {text:?}");
+        assert!(
+            text.ends_with("plan_many("),
+            "span {start}..{end} -> {text:?}"
+        );
+        assert_eq!(findings[0].snippet, "let g = c.m.lock();");
     }
 }

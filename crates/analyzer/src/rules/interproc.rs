@@ -1,112 +1,50 @@
-//! Interprocedural rules over the workspace call graph:
-//! reachability-precise scoping for `panic-path`/`err-swallow`/
-//! `panic-reach`, `lock-order` (deadlock by conflicting acquisition
-//! order), and `recurse-request` (unguarded recursion on the request
-//! path).  See the [`crate::callgraph`] docs for how the two
-//! reachability closures are computed and which direction each one is
-//! allowed to influence.
+//! Interprocedural rules over the workspace call graph: `lock-order`
+//! (deadlock by conflicting acquisition order) and `recurse-request`
+//! (unguarded recursion on the request path), plus the `entry_trace`
+//! call chains attached to every finding on a reachable path.  See the
+//! [`crate::callgraph`] docs for how reachability is computed.
 
 use std::collections::BTreeMap;
 
 use crate::callgraph::{CallGraph, FileUnit};
-use crate::config::Config;
-use crate::lexer::{Pragma, Token};
+use crate::lexer::Token;
 use crate::parse::{Block, Stmt};
 use crate::report::Finding;
 
-use super::{is_punct, is_word};
+use super::structural::{drops, guard_binding};
+use super::{is_word, snippet_of};
 
 /// Ident substrings that count as an explicit recursion guard: a cycle
 /// whose body threads a depth/budget value is bounded by construction.
 const GUARD_HINTS: &[&str] = &["depth", "budget", "limit", "fuel", "remaining"];
 
-/// Which scope a file's crate falls into.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Scope {
-    /// Service crates: the reachability closure may only *exempt*.
-    Service,
-    /// Reach crates (`models`/`bench`): findings exist only along
-    /// justified paths from an entry point.
-    Reach,
-    /// Everything else (facade, examples): untouched.
-    Other,
-}
-
-fn scope_of(config: &Config, path: &str) -> Scope {
-    let Some(krate) = path
-        .strip_prefix("crates/")
-        .and_then(|rest| rest.split('/').next())
-    else {
-        return Scope::Other;
-    };
-    if config.service_crates.iter().any(|c| c == krate) {
-        Scope::Service
-    } else if config.reach_crates.iter().any(|c| c == krate) {
-        Scope::Reach
-    } else {
-        Scope::Other
-    }
-}
-
-/// Runs the interprocedural pass: filters the per-file findings by
-/// reachability, attaches `entry_trace`s, and appends the `lock-order`
-/// and `recurse-request` findings.
+/// Runs the interprocedural pass: attaches `entry_trace`s to the
+/// per-file findings and appends the `lock-order` and `recurse-request`
+/// findings.  A workspace with no entry points gets neither.
 pub(crate) fn apply(
     files: &[FileUnit],
-    config: &Config,
     graph: &CallGraph,
-    findings: Vec<Finding>,
+    mut findings: Vec<Finding>,
 ) -> Vec<Finding> {
-    let has_entries = graph.has_entries();
+    if !graph.has_entries() {
+        return findings;
+    }
     let file_index: BTreeMap<&str, usize> = files
         .iter()
         .enumerate()
         .map(|(i, (path, _, _, _))| (path.as_str(), i))
         .collect();
-
-    let mut out = Vec::new();
-    for mut finding in findings {
-        if finding.rule == "bad-pragma" {
-            out.push(finding);
-            continue;
-        }
+    for finding in &mut findings {
         let node = file_index
             .get(finding.file.as_str())
-            .and_then(|&fi| node_of_finding(graph, files, fi, &finding));
-        match scope_of(config, &finding.file) {
-            Scope::Service => {
-                if has_entries
-                    && matches!(finding.rule, "panic-path" | "err-swallow")
-                    && node.is_some_and(|n| !graph.is_may_reachable(n))
-                {
-                    // A private helper even the over-approximated graph
-                    // cannot reach from any callable root.
-                    continue;
-                }
-            }
-            Scope::Reach => {
-                if matches!(finding.rule, "panic-reach" | "err-swallow") {
-                    let reachable = has_entries && node.is_some_and(|n| graph.is_must_reachable(n));
-                    if !reachable {
-                        continue;
-                    }
-                }
-            }
-            Scope::Other => {}
-        }
+            .and_then(|&fi| node_of_finding(graph, files, fi, finding));
         if let Some(n) = node {
-            if graph.is_must_reachable(n) {
-                finding.entry_trace = graph.entry_trace(n);
-            }
+            finding.entry_trace = graph.entry_trace(n);
         }
-        out.push(finding);
     }
-
-    if has_entries {
-        out.extend(lock_order(files, graph));
-        out.extend(recurse_request(files, graph));
-    }
-    out
+    findings.extend(lock_order(files, graph));
+    findings.extend(recurse_request(files, graph));
+    findings
 }
 
 /// Maps a finding back to the innermost fn node containing it, via the
@@ -117,7 +55,7 @@ fn node_of_finding(
     file_idx: usize,
     finding: &Finding,
 ) -> Option<usize> {
-    let tokens = &files[file_idx].2.tokens;
+    let tokens = &files[file_idx].2;
     let tok = if finding.span != (0, 0) {
         let at = tokens.partition_point(|t| t.start < finding.span.0);
         tokens
@@ -164,9 +102,8 @@ fn lock_order(files: &[FileUnit], graph: &CallGraph) -> Vec<Finding> {
     let n = graph.nodes.len();
     // Acquisitions per must-reachable node.
     let mut acqs: Vec<Vec<Acquisition>> = vec![Vec::new(); n];
-    for (file_idx, (_, _, lexed, parsed)) in files.iter().enumerate() {
-        let tokens = &lexed.tokens;
-        let masked = crate::rules::test_mask(tokens);
+    for (file_idx, (_, _, tokens, parsed)) in files.iter().enumerate() {
+        let masked = super::test_mask(tokens);
         let mut stmts = Vec::new();
         walk_stmts(&parsed.root, &mut stmts);
         for (stmt, block_close) in stmts {
@@ -246,7 +183,7 @@ fn lock_order(files: &[FileUnit], graph: &CallGraph) -> Vec<Finding> {
             continue;
         }
         let file_idx = graph.nodes[node].file_idx;
-        let tokens = &files[file_idx].2.tokens;
+        let tokens = &files[file_idx].2;
         for a in node_acqs {
             let scope_end = scope_end(tokens, a);
             for b in node_acqs {
@@ -310,12 +247,10 @@ fn lock_order(files: &[FileUnit], graph: &CallGraph) -> Vec<Finding> {
             message,
             span: witness.span,
             snippet: snippet_of(&files[graph.nodes[witness.holder].file_idx].1, witness.line),
-            waived: false,
             entry_trace: graph.entry_trace(witness.holder),
-            justification: None,
         });
     }
-    waive(files, findings)
+    findings
 }
 
 /// Renders the conflicting-order message, naming every witness site
@@ -388,12 +323,10 @@ fn recurse_request(files: &[FileUnit], graph: &CallGraph) -> Vec<Finding> {
             ),
             span: (0, 0),
             snippet: snippet_of(&files[anchor_node.file_idx].1, anchor_node.line),
-            waived: false,
             entry_trace: graph.entry_trace(anchor),
-            justification: None,
         });
     }
-    waive(files, findings)
+    findings
 }
 
 /// Whether the node's body mentions a guard-ish ident (`depth`,
@@ -403,7 +336,7 @@ fn has_guard(files: &[FileUnit], graph: &CallGraph, node: usize) -> bool {
     let Some((open, close)) = fnode.body else {
         return false;
     };
-    let tokens = &files[fnode.file_idx].2.tokens;
+    let tokens = &files[fnode.file_idx].2;
     tokens[open.min(tokens.len())..close.min(tokens.len())]
         .iter()
         .any(|t| {
@@ -412,29 +345,6 @@ fn has_guard(files: &[FileUnit], graph: &CallGraph, node: usize) -> bool {
                 GUARD_HINTS.iter().any(|g| lower.contains(g))
             }
         })
-}
-
-/// Applies `hypar-allow` waivers to interproc findings (same line or
-/// line above, justified, matching rule) and carries the justification.
-fn waive(files: &[FileUnit], mut findings: Vec<Finding>) -> Vec<Finding> {
-    let pragmas: BTreeMap<&str, &[Pragma]> = files
-        .iter()
-        .map(|(path, _, lexed, _)| (path.as_str(), lexed.pragmas.as_slice()))
-        .collect();
-    for finding in &mut findings {
-        let Some(pragmas) = pragmas.get(finding.file.as_str()) else {
-            continue;
-        };
-        if let Some(pragma) = pragmas.iter().find(|p| {
-            p.rule == finding.rule
-                && !p.justification.is_empty()
-                && (p.line == finding.line || p.line + 1 == finding.line)
-        }) {
-            finding.waived = true;
-            finding.justification = Some(pragma.justification.clone());
-        }
-    }
-    findings
 }
 
 /// Every `(stmt, enclosing block close)` pair, recursively.
@@ -455,82 +365,29 @@ fn lock_acquisition(
     stmt: &Stmt,
     block_close: usize,
 ) -> Option<Acquisition> {
-    if masked.get(stmt.start).copied().unwrap_or(true) {
-        return None;
+    let (guard, dot) = guard_binding(tokens, stmt, masked)?;
+    let recv = tokens.get(dot.wrapping_sub(1))?;
+    if !is_word(recv) {
+        return None; // computed receiver: no stable lock name
     }
-    if !tokens.get(stmt.end).is_some_and(|t| is_punct(t, ';')) {
-        return None;
-    }
-    let head = tokens.get(stmt.start)?;
-    if !(is_word(head) && head.text == "let") {
-        return None;
-    }
-    let mut k = stmt.start + 1;
-    if tokens.get(k).is_some_and(|t| is_word(t) && t.text == "mut") {
-        k += 1;
-    }
-    let guard_tok = tokens.get(k)?;
-    if !is_word(guard_tok) || guard_tok.text == "_" {
-        return None;
-    }
-    if !tokens.get(k + 1).is_some_and(|t| is_punct(t, '=')) {
-        return None;
-    }
-    let mut j = k + 2;
-    while j + 3 <= stmt.end {
-        if is_punct(&tokens[j], '.')
-            && tokens
-                .get(j + 1)
-                .is_some_and(|t| is_word(t) && t.text == "lock")
-            && tokens.get(j + 2).is_some_and(|t| is_punct(t, '('))
-            && tokens.get(j + 3).is_some_and(|t| is_punct(t, ')'))
-        {
-            let recv = tokens.get(j.wrapping_sub(1))?;
-            if !is_word(recv) {
-                return None; // computed receiver: no stable lock name
-            }
-            return Some(Acquisition {
-                lock: recv.text.clone(),
-                guard: guard_tok.text.clone(),
-                line: head.line,
-                span: (head.start, tokens[stmt.end].end),
-                after: stmt.end,
-                block_close,
-            });
-        }
-        j += 1;
-    }
-    None
+    let head = &tokens[stmt.start];
+    Some(Acquisition {
+        lock: recv.text.clone(),
+        guard: tokens[guard].text.clone(),
+        line: head.line,
+        span: (head.start, tokens[stmt.end].end),
+        after: stmt.end,
+        block_close,
+    })
 }
 
 /// The token index ending the guard's live range: an explicit
 /// `drop(guard)` or the enclosing block's `}`.
 fn scope_end(tokens: &[Token], acq: &Acquisition) -> usize {
     let end = acq.block_close.min(tokens.len());
-    let mut j = acq.after + 1;
-    while j + 3 < end {
-        if is_word(&tokens[j])
-            && tokens[j].text == "drop"
-            && is_punct(&tokens[j + 1], '(')
-            && tokens
-                .get(j + 2)
-                .is_some_and(|t| is_word(t) && t.text == acq.guard)
-            && tokens.get(j + 3).is_some_and(|t| is_punct(t, ')'))
-        {
-            return j;
-        }
-        j += 1;
-    }
-    end
-}
-
-/// The trimmed source text of 1-based `line`.
-fn snippet_of(source: &str, line: u32) -> String {
-    source
-        .lines()
-        .nth(line.saturating_sub(1) as usize)
-        .map(|l| l.trim().to_string())
-        .unwrap_or_default()
+    (acq.after + 1..end.saturating_sub(3))
+        .find(|&j| drops(tokens, j, &acq.guard))
+        .unwrap_or(end)
 }
 
 /// Iterative Tarjan strongly-connected components over `adj`, visiting

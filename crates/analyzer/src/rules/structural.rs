@@ -1,457 +1,41 @@
-//! Structural rules: err-swallow, cast-truncate, lock-scope.
+//! Structural rule: `lock-scope`.
 //!
-//! These need the statement/scope shape recovered by [`crate::parse`]
-//! — a token window cannot tell a discarded `Result` from a propagated
-//! one, or see that a guard binding is still live at a later call.  All
-//! three rules share the analyzer's bias: **miss silently rather than
-//! cry wolf**.  Unknown callees, uninferrable cast sources, and
-//! ambiguous scopes produce no finding.
+//! It needs the statement/scope shape recovered by [`crate::parse`] — a
+//! token window cannot see that a guard binding is still live at a
+//! later call.  The rule shares the analyzer's bias: **miss silently
+//! rather than cry wolf**.  Ambiguous scopes produce no finding.
 
-use std::collections::BTreeMap;
-
-use crate::config::RuleSet;
 use crate::lexer::Token;
-use crate::parse::{Block, Parsed, Stmt, NUMERIC_TYPES};
+use crate::parse::{Block, Stmt};
 use crate::report::Finding;
 
 use super::{is_punct, is_word, Ctx};
 
-/// Workspace-wide function-name index for `err-swallow`.
-///
-/// The analyzer has no type inference, so a callee "returns `Result`"
-/// only when *every* `fn` with that name anywhere in the scanned tree
-/// does — one ambiguous overload silences the name entirely.
-#[derive(Clone, Debug, Default)]
-pub struct FnIndex {
-    /// `name → (result-returning count, other count)`.
-    counts: BTreeMap<String, (u32, u32)>,
-}
-
-impl FnIndex {
-    /// Folds one file's `fn` signatures into the index.
-    pub fn add(&mut self, parsed: &Parsed) {
-        for f in &parsed.fns {
-            let entry = self.counts.entry(f.name.clone()).or_insert((0, 0));
-            if f.returns_result {
-                entry.0 += 1;
-            } else {
-                entry.1 += 1;
-            }
-        }
-    }
-
-    /// True when the name is known and unambiguously Result-returning.
-    #[must_use]
-    pub fn returns_result(&self, name: &str) -> bool {
-        self.counts
-            .get(name)
-            .is_some_and(|&(result, other)| result > 0 && other == 0)
-    }
-}
-
-/// Std functions that return `Result` and are common enough to hard
-/// code: the io write/read/fs family.  Deliberately *excludes* bare
-/// `write`/`read` (`Hasher::write` returns `()`, `Read::read` is rare
-/// without `_exact`) — the index covers workspace fns by that name.
-const BUILTIN_RESULT_FNS: &[&str] = &[
-    "write_all",
-    "write_fmt",
-    "flush",
-    "read_exact",
-    "read_to_string",
-    "read_to_end",
-    "create_dir_all",
-    "remove_file",
-    "remove_dir_all",
-    "sync_all",
-];
-
-/// Macros that produce a `Result` which must not be discarded.
-const RESULT_MACROS: &[&str] = &["write", "writeln"];
-
 /// Call-name prefixes that mean "planning work" for `lock-scope`.
 const PLAN_PREFIXES: &[&str] = &["plan", "refine", "simulate", "stitch"];
 
-/// Statement-head keywords that exempt a statement from `err-swallow`
-/// (control flow and item declarations use their value or have none).
-const STMT_KEYWORDS: &[&str] = &[
-    "let",
-    "use",
-    "mod",
-    "fn",
-    "pub",
-    "struct",
-    "enum",
-    "impl",
-    "trait",
-    "const",
-    "static",
-    "type",
-    "extern",
-    "if",
-    "match",
-    "while",
-    "for",
-    "loop",
-    "return",
-    "break",
-    "continue",
-    "unsafe",
-    "crate",
-    "async",
-    "where",
-    "else",
-    "in",
-    "dyn",
-    "super",
-    "macro_rules",
-];
-
-/// Runs the structural pass, appending findings.
-pub(crate) fn check(
-    ctx: &Ctx<'_>,
-    parsed: &Parsed,
-    masked: &[bool],
-    rules: RuleSet,
-    index: &FnIndex,
-    findings: &mut Vec<Finding>,
-) {
-    if rules.err_swallow {
-        walk_stmts(&parsed.root, &mut |stmt| {
-            check_swallow(ctx, stmt, masked, index, findings);
-        });
-    }
-    if rules.cast_truncate {
-        check_casts(ctx, parsed, masked, findings);
-    }
-    if rules.lock_scope {
-        check_lock_scope(ctx, &parsed.root, masked, findings);
-    }
-}
-
-/// Visits every statement in every block, recursively.
-fn walk_stmts(block: &Block, visit: &mut impl FnMut(&Stmt)) {
+/// Runs `lock-scope` over `block` and every block nested in it,
+/// appending findings.
+pub(crate) fn check(ctx: &Ctx<'_>, block: &Block, masked: &[bool], findings: &mut Vec<Finding>) {
     for stmt in &block.stmts {
-        visit(stmt);
+        if let Some((guard, _)) = guard_binding(ctx.tokens, stmt, masked) {
+            let guard = &ctx.tokens[guard].text;
+            scan_guard_scope(ctx, stmt, block.close, masked, guard, findings);
+        }
         for inner in &stmt.blocks {
-            walk_stmts(inner, visit);
+            check(ctx, inner, masked, findings);
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// err-swallow
-// ---------------------------------------------------------------------
-
-fn check_swallow(
-    ctx: &Ctx<'_>,
+/// `let [mut] <guard> = … .lock() … ;` — the token indices of the
+/// guard name and of the first `.lock()`'s dot.  `let _ = ….lock();`
+/// drops the guard immediately and is exempt.
+pub(crate) fn guard_binding(
+    tokens: &[Token],
     stmt: &Stmt,
     masked: &[bool],
-    index: &FnIndex,
-    findings: &mut Vec<Finding>,
-) {
-    let tokens = ctx.tokens;
-    if masked.get(stmt.start).copied().unwrap_or(true) {
-        return;
-    }
-    // Only `;`-terminated statements discard their value.
-    if !tokens.get(stmt.end).is_some_and(|t| is_punct(t, ';')) {
-        return;
-    }
-    let head = &tokens[stmt.start];
-    let (expr_start, via) = if is_word(head) && head.text == "let" {
-        // `let _ = expr;` discards; any other pattern binds the value.
-        let underscore = tokens
-            .get(stmt.start + 1)
-            .is_some_and(|t| is_word(t) && t.text == "_");
-        let eq = tokens.get(stmt.start + 2).is_some_and(|t| is_punct(t, '='));
-        if underscore && eq {
-            (stmt.start + 3, "`let _ =` discards")
-        } else {
-            return;
-        }
-    } else if is_word(head) && !STMT_KEYWORDS.contains(&head.text.as_str()) {
-        (stmt.start, "the statement discards")
-    } else {
-        return;
-    };
-
-    // Scan the expression spine at delimiter depth 0.  `?` means the
-    // Result is propagated; `=`/`=>` mean the value is consumed or this
-    // is match-arm soup — both exempt.  The *last* depth-0 call is the
-    // chain's terminal call, whose return value the statement drops.
-    let mut depth = 0usize;
-    let mut callee: Option<(usize, bool)> = None;
-    let mut j = expr_start;
-    while j < stmt.end {
-        let tok = &tokens[j];
-        if is_punct(tok, '(') || is_punct(tok, '[') || is_punct(tok, '{') {
-            depth += 1;
-        } else if is_punct(tok, ')') || is_punct(tok, ']') || is_punct(tok, '}') {
-            depth = depth.saturating_sub(1);
-        } else if depth == 0 {
-            if is_punct(tok, '?') {
-                return;
-            }
-            if is_punct(tok, '=') {
-                // Covers `=`, `==`, `=>`, and compound assignment tails.
-                return;
-            }
-            if is_word(tok) {
-                if tokens.get(j + 1).is_some_and(|t| is_punct(t, '(')) {
-                    callee = Some((j, false));
-                } else if tokens.get(j + 1).is_some_and(|t| is_punct(t, '!'))
-                    && tokens
-                        .get(j + 2)
-                        .is_some_and(|t| is_punct(t, '(') || is_punct(t, '['))
-                {
-                    callee = Some((j, true));
-                }
-            }
-        }
-        j += 1;
-    }
-    let Some((at, is_macro)) = callee else { return };
-    let name = tokens[at].text.as_str();
-
-    let reason = if is_macro {
-        if RESULT_MACROS.contains(&name) {
-            Some(format!("`{name}!` returns an `io::Result`"))
-        } else {
-            None
-        }
-    } else if name == "ok"
-        && at > 0
-        && is_punct(&tokens[at - 1], '.')
-        && tokens.get(at + 2).is_some_and(|t| is_punct(t, ')'))
-    {
-        Some("`.ok()` converts the `Err` into a silently dropped `None`".to_string())
-    } else if BUILTIN_RESULT_FNS.contains(&name) {
-        Some(format!("`{name}` returns an `io::Result`"))
-    } else if index.returns_result(name) {
-        Some(format!(
-            "every `fn {name}` in this workspace returns a `Result`"
-        ))
-    } else {
-        None
-    };
-    if let Some(reason) = reason {
-        findings.push(ctx.finding(
-            stmt.start,
-            stmt.start,
-            stmt.end,
-            "err-swallow",
-            format!(
-                "{reason} and {via} it; propagate with `?`, handle the \
-                 `Err` arm, or log it via the degraded path"
-            ),
-        ));
-    }
-}
-
-// ---------------------------------------------------------------------
-// cast-truncate
-// ---------------------------------------------------------------------
-
-/// Bit width a type contributes *as a cast source* (`usize` reads as
-/// the widest supported platform) and whether it is a float.
-fn source_bits(ty: &str) -> Option<(u32, bool)> {
-    Some(match ty {
-        "u8" | "i8" => (8, false),
-        "u16" | "i16" => (16, false),
-        "u32" | "i32" => (32, false),
-        "u64" | "i64" => (64, false),
-        "u128" | "i128" => (128, false),
-        // A usize may hold 64 bits on the platforms we ship on.
-        "usize" | "isize" => (64, false),
-        "f32" => (32, true),
-        "f64" => (64, true),
-        _ => return None,
-    })
-}
-
-/// Bit width a type is guaranteed to hold *as a cast target* (`usize`
-/// reads as the narrowest supported platform, so `u64 as usize` is a
-/// truncation hazard).
-fn target_bits(ty: &str) -> Option<(u32, bool)> {
-    Some(match ty {
-        "usize" | "isize" => (32, false),
-        _ => source_bits(ty)?,
-    })
-}
-
-/// Whether `src as dst` can lose information.
-fn narrows(src: &str, dst: &str) -> bool {
-    let (Some((src_bits, src_float)), Some((dst_bits, dst_float))) =
-        (source_bits(src), target_bits(dst))
-    else {
-        return false;
-    };
-    if src_float {
-        // float → int always truncates the fraction; f64 → f32 rounds.
-        !dst_float || dst_bits < src_bits
-    } else if dst_float {
-        // int → float precision loss is out of scope for this rule.
-        false
-    } else {
-        dst_bits < src_bits
-    }
-}
-
-fn check_casts(ctx: &Ctx<'_>, parsed: &Parsed, masked: &[bool], findings: &mut Vec<Finding>) {
-    let tokens = ctx.tokens;
-    for i in 0..tokens.len() {
-        if masked[i] {
-            continue;
-        }
-        let tok = &tokens[i];
-        if !(is_word(tok) && tok.text == "as") {
-            continue;
-        }
-        let Some(dst_tok) = tokens.get(i + 1) else {
-            continue;
-        };
-        if !(is_word(dst_tok) && NUMERIC_TYPES.contains(&dst_tok.text.as_str())) {
-            continue;
-        }
-        let Some(src) = infer_cast_source(ctx, parsed, i) else {
-            continue;
-        };
-        if narrows(&src, &dst_tok.text) {
-            findings.push(ctx.finding(
-                i,
-                i.saturating_sub(1),
-                i + 1,
-                "cast-truncate",
-                format!(
-                    "`{src} as {}` can silently truncate; use `{}::try_from` \
-                     with a typed error or widen the destination",
-                    dst_tok.text, dst_tok.text
-                ),
-            ));
-        }
-    }
-}
-
-/// Infers the type of the expression feeding the `as` at `i`.
-/// `None` means "can't tell" — and no finding, by design.
-fn infer_cast_source(ctx: &Ctx<'_>, parsed: &Parsed, i: usize) -> Option<String> {
-    use crate::lexer::TokenKind;
-    let tokens = ctx.tokens;
-    let prev = tokens.get(i.checked_sub(1)?)?;
-    match prev.kind {
-        TokenKind::Float => {
-            if prev.text.ends_with("f32") {
-                Some("f32".into())
-            } else {
-                Some("f64".into())
-            }
-        }
-        TokenKind::Int => NUMERIC_TYPES
-            .iter()
-            .find(|suffix| prev.text.ends_with(*suffix))
-            .map(|s| (*s).to_string()),
-        TokenKind::Punct if prev.text == ")" => {
-            // `expr.len() as u32` and friends: the usize-returning
-            // length family is unambiguous.
-            let open = open_paren_before(tokens, i - 1)?;
-            let callee = tokens.get(open.checked_sub(1)?)?;
-            let dotted = open >= 2 && is_punct(&tokens[open - 2], '.');
-            if dotted
-                && is_word(callee)
-                && matches!(callee.text.as_str(), "len" | "count" | "capacity")
-            {
-                Some("usize".into())
-            } else {
-                None
-            }
-        }
-        TokenKind::Ident => {
-            if NUMERIC_TYPES.contains(&prev.text.as_str())
-                && i >= 2
-                && is_word(&tokens[i - 2])
-                && tokens[i - 2].text == "as"
-            {
-                // Chained cast: `x as u64 as u32` — the second cast's
-                // source is the first cast's target.
-                return Some(prev.text.clone());
-            }
-            env_type(ctx, parsed, i, &prev.text)
-        }
-        _ => None,
-    }
-}
-
-/// Index of the `(` matching the `)` at `close`.
-fn open_paren_before(tokens: &[Token], close: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for j in (0..=close).rev() {
-        if is_punct(&tokens[j], ')') {
-            depth += 1;
-        } else if is_punct(&tokens[j], '(') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
-    }
-    None
-}
-
-/// Looks `name` up in the enclosing fn's type environment: single-token
-/// numeric `let name: Ty =` annotations (latest before `i` wins), then
-/// `name: Ty` parameters.
-fn env_type(ctx: &Ctx<'_>, parsed: &Parsed, i: usize, name: &str) -> Option<String> {
-    let tokens = ctx.tokens;
-    let f = parsed.enclosing_fn(i)?;
-    let (open, _) = f.body?;
-    let mut found = None;
-    let mut j = open;
-    while j + 3 < i {
-        if is_word(&tokens[j]) && tokens[j].text == "let" {
-            let mut k = j + 1;
-            if tokens.get(k).is_some_and(|t| is_word(t) && t.text == "mut") {
-                k += 1;
-            }
-            let annotated = tokens.get(k).is_some_and(|t| is_word(t) && t.text == name)
-                && tokens.get(k + 1).is_some_and(|t| is_punct(t, ':'))
-                && tokens
-                    .get(k + 2)
-                    .is_some_and(|t| is_word(t) && NUMERIC_TYPES.contains(&t.text.as_str()));
-            if annotated {
-                found = Some(tokens[k + 2].text.clone());
-            }
-        }
-        j += 1;
-    }
-    found.or_else(|| {
-        f.params
-            .iter()
-            .rev()
-            .find(|(n, ty)| n == name && NUMERIC_TYPES.contains(&ty.as_str()))
-            .map(|(_, ty)| ty.clone())
-    })
-}
-
-// ---------------------------------------------------------------------
-// lock-scope
-// ---------------------------------------------------------------------
-
-fn check_lock_scope(ctx: &Ctx<'_>, block: &Block, masked: &[bool], findings: &mut Vec<Finding>) {
-    for stmt in &block.stmts {
-        if let Some(guard) = lock_binding(ctx, stmt, masked) {
-            scan_guard_scope(ctx, stmt, block.close, masked, &guard, findings);
-        }
-        for inner in &stmt.blocks {
-            check_lock_scope(ctx, inner, masked, findings);
-        }
-    }
-}
-
-/// `let [mut] <name> = … .lock() … ;` — returns the guard name.
-/// `let _ = ….lock();` drops the guard immediately and is exempt.
-fn lock_binding(ctx: &Ctx<'_>, stmt: &Stmt, masked: &[bool]) -> Option<String> {
-    let tokens = ctx.tokens;
+) -> Option<(usize, usize)> {
     if masked.get(stmt.start).copied().unwrap_or(true) {
         return None;
     }
@@ -483,7 +67,7 @@ fn lock_binding(ctx: &Ctx<'_>, stmt: &Stmt, masked: &[bool]) -> Option<String> {
             && tokens.get(j + 2).is_some_and(|t| is_punct(t, '('))
             && tokens.get(j + 3).is_some_and(|t| is_punct(t, ')'))
         {
-            return Some(name_tok.text.clone());
+            return Some((k, j));
         }
         j += 1;
     }
@@ -508,17 +92,10 @@ fn scan_guard_scope(
             j += 1;
             continue;
         }
-        let tok = &tokens[j];
-        if is_word(tok) && tok.text == "drop" {
-            let dropped = tokens.get(j + 1).is_some_and(|t| is_punct(t, '('))
-                && tokens
-                    .get(j + 2)
-                    .is_some_and(|t| is_word(t) && t.text == guard)
-                && tokens.get(j + 3).is_some_and(|t| is_punct(t, ')'));
-            if dropped {
-                return;
-            }
+        if drops(tokens, j, guard) {
+            return;
         }
+        let tok = &tokens[j];
         if is_word(tok)
             && PLAN_PREFIXES.iter().any(|p| tok.text.starts_with(p))
             && tokens.get(j + 1).is_some_and(|t| is_punct(t, '('))
@@ -541,144 +118,29 @@ fn scan_guard_scope(
     }
 }
 
+/// Whether the tokens at `j` read `drop(<guard>)`.
+pub(crate) fn drops(tokens: &[Token], j: usize, guard: &str) -> bool {
+    tokens
+        .get(j)
+        .is_some_and(|t| is_word(t) && t.text == "drop")
+        && tokens.get(j + 1).is_some_and(|t| is_punct(t, '('))
+        && tokens
+            .get(j + 2)
+            .is_some_and(|t| is_word(t) && t.text == guard)
+        && tokens.get(j + 3).is_some_and(|t| is_punct(t, ')'))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::live;
     use crate::rules::check_source;
 
     fn run(source: &str) -> Vec<Finding> {
-        live(&check_source("test.rs", source, RuleSet::all()))
+        check_source("test.rs", source)
     }
 
     fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
         findings.iter().map(|f| f.rule).collect()
-    }
-
-    // -- err-swallow --------------------------------------------------
-
-    #[test]
-    fn discarded_result_call_is_flagged_via_the_index() {
-        let findings = run("fn save(x: u8) -> Result<(), String> { Ok(()) }\n\
-             fn caller() { save(1); }\n");
-        assert_eq!(rules_of(&findings), vec!["err-swallow"]);
-        assert_eq!(findings[0].line, 2);
-    }
-
-    #[test]
-    fn let_underscore_and_dropped_ok_are_flagged() {
-        let findings = run("fn save() -> Result<(), String> { Ok(()) }\n\
-             fn caller() { let _ = save(); }\n");
-        assert_eq!(rules_of(&findings), vec!["err-swallow"]);
-        let findings = run("fn caller(r: Result<u8, u8>) { r.ok(); }");
-        assert_eq!(rules_of(&findings), vec!["err-swallow"]);
-    }
-
-    #[test]
-    fn propagated_handled_and_bound_results_pass() {
-        let src = "fn save() -> Result<(), String> { Ok(()) }\n";
-        assert!(run(&format!(
-            "{src}fn a() -> Result<(), String> {{ save()?; Ok(()) }}"
-        ))
-        .is_empty());
-        assert!(run(&format!(
-            "{src}fn b() {{ if let Err(e) = save() {{ log(e); }} }}"
-        ))
-        .is_empty());
-        assert!(run(&format!("{src}fn c() {{ let r = save(); use_it(r); }}")).is_empty());
-        assert!(run(&format!("{src}fn d() -> Result<(), String> {{ save() }}")).is_empty());
-        // `.ok()` whose value is *used* is fine.
-        assert!(run("fn e(r: Result<u8, u8>) -> Option<u8> { r.ok() }").is_empty());
-    }
-
-    #[test]
-    fn ambiguous_names_and_non_result_fns_stay_silent() {
-        // Two fns named `emit`, only one Result-returning: ambiguous.
-        assert!(run("fn emit() -> Result<(), u8> { Ok(()) }\n\
-             mod b { fn emit() {} }\n\
-             fn caller() { emit(); }\n")
-        .is_empty());
-        // Plain unit fn: nothing to swallow.
-        assert!(run("fn ping() {} fn caller() { ping(); }").is_empty());
-    }
-
-    #[test]
-    fn builtin_io_family_and_write_macros_are_flagged() {
-        let findings = run("fn f(out: &mut W, b: &[u8]) { out.write_all(b); out.flush(); }");
-        assert_eq!(rules_of(&findings), vec!["err-swallow", "err-swallow"]);
-        let findings = run("fn f(out: &mut W) { writeln!(out, \"x\"); }");
-        assert_eq!(rules_of(&findings), vec!["err-swallow"]);
-        // `Hasher::write` returns `()` — deliberately not in the list.
-        assert!(run("fn f(h: &mut H, b: &[u8]) { h.write(b); }").is_empty());
-    }
-
-    #[test]
-    fn match_arms_and_test_code_are_exempt_and_pragmas_waive() {
-        assert!(run("fn save() -> Result<(), u8> { Ok(()) }\n\
-             fn f(x: u8) { match x { 0 => save().unwrap_or(()), _ => () }; }\n")
-        .is_empty());
-        assert!(run("fn save() -> Result<(), u8> { Ok(()) }\n\
-             #[cfg(test)]\nmod t { fn g() { save(); } }\n")
-        .is_empty());
-        let all = check_source(
-            "test.rs",
-            "fn save() -> Result<(), u8> { Ok(()) }\n\
-             // hypar-allow: err-swallow — best-effort cleanup on shutdown\n\
-             fn g() { save(); }\n",
-            RuleSet::all(),
-        );
-        assert!(live(&all).is_empty());
-        assert!(all.iter().any(|f| f.rule == "err-swallow" && f.waived));
-    }
-
-    // -- cast-truncate ------------------------------------------------
-
-    #[test]
-    fn narrowing_casts_from_inferrable_sources_are_flagged() {
-        // Param type.
-        let findings = run("fn f(n: usize) -> u32 { n as u32 }");
-        assert_eq!(rules_of(&findings), vec!["cast-truncate"]);
-        // Let annotation.
-        let findings = run("fn f() { let n: u64 = g(); let _x = n as usize; }");
-        assert_eq!(rules_of(&findings), vec!["cast-truncate"]);
-        // `.len()` is usize.
-        let findings = run("fn f(v: &[u8]) -> u32 { v.len() as u32 }");
-        assert_eq!(rules_of(&findings), vec!["cast-truncate"]);
-        // Float → int and f64 → f32.
-        let findings = run("fn f(x: f64) { let _a = x as usize; let _b = x as f32; }");
-        assert_eq!(rules_of(&findings), vec!["cast-truncate", "cast-truncate"]);
-        // Suffixed literal and chained cast.
-        let findings = run("fn f() { let _x = 300u64 as u8; }");
-        assert_eq!(rules_of(&findings), vec!["cast-truncate"]);
-        let findings = run("fn f(x: u8) { let _y = x as u64 as u32; }");
-        assert_eq!(rules_of(&findings), vec!["cast-truncate"]);
-    }
-
-    #[test]
-    fn widening_and_uninferrable_casts_stay_silent() {
-        assert!(run("fn f(n: u8) -> u64 { n as u64 }").is_empty());
-        assert!(run("fn f(n: u32) -> usize { n as usize }").is_empty());
-        assert!(run("fn f(n: usize) -> u64 { n as u64 }").is_empty());
-        assert!(run("fn f(n: u32) -> f64 { n as f64 }").is_empty());
-        // Unknown source type: no env entry, no literal — silent.
-        assert!(run("fn f(s: &S) -> u32 { s.field as u32 }").is_empty());
-        assert!(run("fn f() -> u32 { mystery() as u32 }").is_empty());
-        // Unsuffixed literals have no certain type.
-        assert!(run("fn f() -> u8 { 300 as u8 }").is_empty());
-    }
-
-    #[test]
-    fn try_from_idiom_and_waivers_pass() {
-        assert!(run("fn f(n: usize) -> Option<u32> { u32::try_from(n).ok() }").is_empty());
-        let all = check_source(
-            "test.rs",
-            "fn f(n: usize) -> u32 {\n\
-             // hypar-allow: cast-truncate — bounded by MAX_NODES above\n\
-             n as u32\n}\n",
-            RuleSet::all(),
-        );
-        assert!(live(&all).is_empty());
-        assert!(all.iter().any(|f| f.rule == "cast-truncate" && f.waived));
     }
 
     // -- lock-scope ---------------------------------------------------
@@ -721,26 +183,5 @@ mod tests {
         }
         // Non-planning work under the guard is fine.
         assert!(run("fn f(c: &Cache) { let g = c.i.lock(); g.touch(); }").is_empty());
-    }
-
-    #[test]
-    fn lock_scope_waiver_and_index_fold() {
-        let all = check_source(
-            "test.rs",
-            "fn f(c: &Cache) {\n\
-             // hypar-allow: lock-scope — single-threaded startup path\n\
-             let g = c.i.lock();\n\
-             let p = plan_many(&g.r);\n\
-             }\n",
-            RuleSet::all(),
-        );
-        assert!(live(&all).is_empty());
-
-        let mut index = FnIndex::default();
-        let lexed = crate::lexer::lex("fn a() -> Result<(), u8> { Ok(()) }\nfn b() {}\n");
-        index.add(&crate::parse::parse(&lexed.tokens));
-        assert!(index.returns_result("a"));
-        assert!(!index.returns_result("b"));
-        assert!(!index.returns_result("absent"));
     }
 }

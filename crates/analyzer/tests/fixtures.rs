@@ -2,13 +2,18 @@
 //! in `tests/fixtures/`, asserting findings by marker comments so the
 //! expectations survive fixture edits.
 
+#![expect(
+    clippy::panic,
+    clippy::unwrap_used,
+    reason = "helpers fail by panicking"
+)]
+
 use std::fs;
 use std::path::PathBuf;
 
-use hypar_analyzer::config::RuleSet;
 use hypar_analyzer::lexer::{self, TokenKind};
 use hypar_analyzer::parse;
-use hypar_analyzer::report::{live, Finding};
+use hypar_analyzer::report::Finding;
 use hypar_analyzer::rules;
 
 fn fixture(name: &str) -> String {
@@ -27,9 +32,8 @@ fn line_of(source: &str, needle: &str) -> u32 {
         .unwrap_or_else(|| panic!("marker `{needle}` not in fixture"))
 }
 
-/// Live (non-waived) findings with every rule enabled.
 fn check_all(source: &str) -> Vec<Finding> {
-    live(&rules::check_source("fixture.rs", source, RuleSet::all()))
+    rules::check_source("fixture.rs", source)
 }
 
 #[test]
@@ -40,8 +44,8 @@ fn lexer_edges_only_live_sites_are_found() {
     assert_eq!(
         got,
         vec![
-            ("lock-poison", line_of(&source, "MARK:live-lock")),
-            ("panic-path", line_of(&source, "MARK:live-unwrap")),
+            ("lock-scope", line_of(&source, "MARK:live-guard")),
+            ("lock-scope", line_of(&source, "MARK:live-nested")),
         ],
         "all findings: {findings:?}"
     );
@@ -50,19 +54,18 @@ fn lexer_edges_only_live_sites_are_found() {
 #[test]
 fn lexer_edges_token_shapes() {
     let source = fixture("lexer_edges.rs");
-    let lexed = lexer::lex(&source);
+    let tokens = lexer::lex(&source);
 
     // The nested block comment contributes no tokens at all: nothing on
     // its line.
     let comment_line = line_of(&source, "nested .unwrap()");
     assert!(
-        lexed.tokens.iter().all(|t| t.line != comment_line),
+        tokens.iter().all(|t| t.line != comment_line),
         "nested block comment leaked tokens"
     );
 
     // Raw strings of every fence width are single opaque tokens.
-    let raws: Vec<&str> = lexed
-        .tokens
+    let raws: Vec<&str> = tokens
         .iter()
         .filter(|t| t.kind == TokenKind::RawStr)
         .map(|t| t.text.as_str())
@@ -72,71 +75,21 @@ fn lexer_edges_token_shapes() {
     assert!(raws.iter().any(|t| t.contains("unreachable")));
 
     // The `'"'` char literal is a Char token, not a string opener.
-    assert!(lexed
-        .tokens
+    assert!(tokens
         .iter()
         .any(|t| t.kind == TokenKind::Char && t.text == "'\"'"));
     // `'\''` and `'\n'` survive as chars too.
     assert_eq!(
-        lexed
-            .tokens
-            .iter()
-            .filter(|t| t.kind == TokenKind::Char)
-            .count(),
+        tokens.iter().filter(|t| t.kind == TokenKind::Char).count(),
         3
     );
     // `'a` ticks are lifetimes, never chars.
-    assert!(lexed
-        .tokens
+    assert!(tokens
         .iter()
         .any(|t| t.kind == TokenKind::Lifetime && t.text == "'a"));
-    assert!(lexed
-        .tokens
+    assert!(tokens
         .iter()
         .any(|t| t.kind == TokenKind::Lifetime && t.text == "'static"));
-}
-
-#[test]
-fn pragma_fixture_waives_exactly_the_justified_adjacent_rule() {
-    let source = fixture("pragmas.rs");
-    let findings = check_all(&source);
-    let survivors: Vec<(&str, u32)> = findings
-        .iter()
-        .filter(|f| f.rule == "det-wall-clock")
-        .map(|f| (f.rule, f.line))
-        .collect();
-    assert_eq!(
-        survivors,
-        vec![
-            ("det-wall-clock", line_of(&source, "MARK:bare-survives")),
-            ("det-wall-clock", line_of(&source, "MARK:unknown-survives")),
-            ("det-wall-clock", line_of(&source, "MARK:doc-survives")),
-            (
-                "det-wall-clock",
-                line_of(&source, "MARK:wrong-rule-survives")
-            ),
-        ],
-        "all findings: {findings:?}"
-    );
-
-    // The bare and unknown-rule pragmas are findings themselves; the
-    // doc comment and the valid (if mistargeted) det-float-eq waiver
-    // are not.
-    let bare_line = source
-        .lines()
-        .position(|l| l.trim_end().ends_with("hypar-allow: det-wall-clock"))
-        .map(|i| u32::try_from(i).unwrap() + 1)
-        .expect("bare pragma line");
-    let bad: Vec<u32> = findings
-        .iter()
-        .filter(|f| f.rule == "bad-pragma")
-        .map(|f| f.line)
-        .collect();
-    assert_eq!(
-        bad,
-        vec![bare_line, line_of(&source, "not-a-rule")],
-        "all findings: {findings:?}"
-    );
 }
 
 #[test]
@@ -146,46 +99,9 @@ fn structural_fixture_live_findings_match_markers() {
     let got: Vec<(&str, u32)> = findings.iter().map(|f| (f.rule, f.line)).collect();
     assert_eq!(
         got,
-        vec![
-            ("err-swallow", line_of(&source, "MARK:swallow-bare")),
-            ("err-swallow", line_of(&source, "MARK:swallow-let")),
-            ("err-swallow", line_of(&source, "MARK:swallow-ok")),
-            ("err-swallow", line_of(&source, "MARK:swallow-builtin")),
-            ("err-swallow", line_of(&source, "MARK:swallow-macro")),
-            ("cast-truncate", line_of(&source, "MARK:cast-param")),
-            ("cast-truncate", line_of(&source, "MARK:cast-len")),
-            ("cast-truncate", line_of(&source, "MARK:cast-float")),
-            ("cast-truncate", line_of(&source, "MARK:cast-u64-usize")),
-            ("cast-truncate", line_of(&source, "MARK:cast-chained")),
-            ("lock-scope", line_of(&source, "MARK:lock-held")),
-        ],
+        vec![("lock-scope", line_of(&source, "MARK:lock-held"))],
         "all findings: {findings:?}"
     );
-}
-
-#[test]
-fn structural_fixture_waivers_are_marked_not_dropped() {
-    let source = fixture("structural.rs");
-    let all = rules::check_source("fixture.rs", &source, RuleSet::all());
-    let waived: Vec<(&str, u32)> = all
-        .iter()
-        .filter(|f| f.waived)
-        .map(|f| (f.rule, f.line))
-        .collect();
-    assert_eq!(
-        waived,
-        vec![
-            ("err-swallow", line_of(&source, "MARK:swallow-waived")),
-            ("cast-truncate", line_of(&source, "MARK:cast-waived")),
-            ("lock-scope", line_of(&source, "MARK:lock-waived")),
-        ],
-        "all findings: {all:?}"
-    );
-    // Waived findings still carry spans and snippets for the JSON feed.
-    for f in all.iter().filter(|f| f.waived) {
-        assert!(f.span.1 > f.span.0, "{f:?}");
-        assert!(!f.snippet.is_empty(), "{f:?}");
-    }
 }
 
 #[test]
@@ -193,16 +109,16 @@ fn fixtures_survive_truncation_without_panicking() {
     // Truncating a fixture at every char boundary exercises the
     // unterminated-literal, half-token, and dangling-brace paths
     // deterministically — for the lexer AND the parser.
-    for name in ["lexer_edges.rs", "pragmas.rs", "structural.rs"] {
+    for name in ["lexer_edges.rs", "structural.rs"] {
         let source = fixture(name);
         let chars: Vec<char> = source.chars().collect();
         for cut in 0..=chars.len() {
             let prefix: String = chars[..cut].iter().collect();
-            let lexed = lexer::lex(&prefix);
-            assert!(lexed.tokens.len() <= cut + 1, "{name} cut at {cut}");
-            let parsed = parse::parse(&lexed.tokens);
+            let tokens = lexer::lex(&prefix);
+            assert!(tokens.len() <= cut + 1, "{name} cut at {cut}");
+            let parsed = parse::parse(&tokens);
             assert!(
-                parsed.stmt_count() <= lexed.tokens.len() + 1,
+                parsed.stmt_count() <= tokens.len() + 1,
                 "{name} cut at {cut}: parser produced phantom statements"
             );
         }

@@ -1,57 +1,8 @@
-// Structural-rule semantics: discarded Results, narrowing casts, and
-// lock guards held across planning calls — each with the compliant
-// idiom beside it.  This file is a test fixture — never compiled,
-// never scanned by the workspace walk (`tests/` and `fixtures/` are
-// skip-dirs), so the deliberate defects below stay out of the ratchet.
-
-fn save_plan(id: u64) -> Result<(), String> {
-    let _ = id;
-    Ok(())
-}
-
-fn swallowed_results(out: &mut Vec<u8>) {
-    save_plan(1); // MARK:swallow-bare
-    let _ = save_plan(2); // MARK:swallow-let
-    save_plan(3).ok(); // MARK:swallow-ok
-    out.flush(); // MARK:swallow-builtin
-    writeln!(out, "plan"); // MARK:swallow-macro
-}
-
-fn handled_results(out: &mut Vec<u8>) -> Result<(), String> {
-    save_plan(1)?; // propagated
-    if let Err(e) = save_plan(2) {
-        let _msg = e; // handled
-    }
-    let outcome = save_plan(3); // bound, visibly inspected below
-    match outcome {
-        Ok(()) => {}
-        Err(_) => {}
-    }
-    // hypar-allow: err-swallow — fixture: best-effort flush on the shutdown path
-    out.flush(); // MARK:swallow-waived
-    save_plan(4)
-}
-
-fn narrowing_casts(n: usize, f: f64, v: &[u8]) -> u32 {
-    let a = n as u32; // MARK:cast-param
-    let b = v.len() as u32; // MARK:cast-len
-    let c = f as u32; // MARK:cast-float
-    let d: u64 = 9;
-    let e = d as usize; // MARK:cast-u64-usize
-    let w = n as u64 as u32; // MARK:cast-chained (first hop widens, second narrows)
-    let _sum = e;
-    a + b + c + w
-}
-
-fn compliant_casts(n: usize, f: f64) -> Result<u32, String> {
-    let a = u32::try_from(n).map_err(|_| "too many nodes".to_string())?;
-    let widened = u64::from(a); // widening is free
-    let rounded = f.round(); // still f64, no cast
-    // hypar-allow: cast-truncate — fixture: bounded by MAX_SEGMENTS at the call site
-    let waived = n as u32; // MARK:cast-waived
-    let _ = (widened, rounded, waived);
-    Ok(a)
-}
+// Structural-rule semantics: lock guards held across planning calls,
+// each with the compliant idiom beside it.  This file is a test fixture
+// — never compiled, never scanned by the workspace walk (`tests/` and
+// `fixtures/` are skip-dirs), so the deliberate defects below stay out
+// of the real report.
 
 fn guard_across_planning(cache: &PlanCache) {
     let guard = cache.inner.lock(); // MARK:lock-held
@@ -76,13 +27,6 @@ fn guard_scope_closed(cache: &PlanCache) {
     let _ = plan;
 }
 
-fn guard_waived(cache: &PlanCache) {
-    // hypar-allow: lock-scope — fixture: single-threaded warmup before serving
-    let guard = cache.inner.lock(); // MARK:lock-waived
-    let plan = plan_many(&guard.requests);
-    let _ = plan;
-}
-
 // Parser edge cases: these shapes must parse without confusing the
 // statement spine (and without panicking — the truncation test slices
 // this file at every char boundary).
@@ -96,13 +40,12 @@ fn parser_edges(items: &[u64]) -> u64 {
         })
         .sum::<u64>(); // turbofish, not a comparison
     let arms = match nested {
-        0 => save_plan(0).is_ok(), // match-arm tail calls are not swallows
+        0 => save_plan(0).is_ok(),
         n if n < 10 => true,       // `<` here is ordering, not generics
         _ => false,
     };
     let closure_in_args = items.iter().filter(|i| **i > 1).count();
     if arms {
-        // Widening + uninferrable binding: `as u64` here stays silent.
         nested + closure_in_args as u64
     } else {
         nested
@@ -111,12 +54,8 @@ fn parser_edges(items: &[u64]) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    // Test code swallows, casts, and holds locks freely: all masked.
+    // Test code holds locks across planning freely: masked.
     fn masked() {
-        save_plan(9);
-        let _ = save_plan(10);
-        let n: u64 = 4;
-        let _small = n as u8;
         let guard = cache.inner.lock();
         let _p = plan_many(&guard.requests);
     }

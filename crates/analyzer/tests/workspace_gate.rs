@@ -1,142 +1,110 @@
-//! The analyzer against the real tree: the committed baseline must
-//! pass, and the invariants this PR established must hold — the
-//! baseline is *empty* (zero tolerated findings anywhere), and every
-//! surviving rule site carries a justified pragma.
+//! The analyzer against the real tree, and the wiring of the clippy
+//! policy that replaced its per-site rules: every service crate opts
+//! into the workspace lint table, the table denies each replacement
+//! lint, and the three call-graph rules report nothing.
+
+#![expect(clippy::expect_used, reason = "helpers fail by panicking")]
 
 use std::fs;
 use std::path::PathBuf;
 
-use hypar_analyzer::config::Config;
-use hypar_analyzer::report::live;
-use hypar_analyzer::{json, run_check, scan_workspace, validate_root, BASELINE_FILE};
+use hypar_analyzer::config::{Config, SERVICE_CRATES};
+use hypar_analyzer::scan_workspace;
+
+/// The clippy lints that carry the policy, each at `deny`: the panic
+/// family, the determinism hazards, narrowing casts, dropped `Result`s,
+/// and reasoned `#[expect]` waivers.
+const POLICY_LINTS: &[&str] = &[
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "unreachable",
+    "todo",
+    "unimplemented",
+    "disallowed_methods",
+    "disallowed_types",
+    "float_cmp",
+    "cast_possible_truncation",
+    "let_underscore_must_use",
+    "unused_result_ok",
+    "allow_attributes",
+    "allow_attributes_without_reason",
+];
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-#[test]
-fn committed_baseline_gates_the_real_tree() {
-    let root = repo_root();
-    validate_root(&root).expect("repo root");
-    let outcome = run_check(&root, &Config::default(), &root.join(BASELINE_FILE))
-        .expect("check against committed baseline");
-    assert!(
-        outcome.passed(),
-        "the committed analyzer-baseline.json must gate the tree: \
-         {} regression cell(s), {} bad pragma(s)",
-        outcome.regressions.len(),
-        outcome.bad_pragmas.len()
-    );
+fn read(rel: &str) -> String {
+    fs::read_to_string(repo_root().join(rel)).expect("read workspace file")
+}
+
+/// The `key = value` lines of the TOML table headed `[header]`.
+fn table(text: &str, header: &str) -> Vec<(String, String)> {
+    let open = format!("[{header}]");
+    text.lines()
+        .skip_while(|line| line.trim() != open)
+        .skip(1)
+        .take_while(|line| !line.trim_start().starts_with('['))
+        .filter(|line| !line.trim_start().starts_with('#'))
+        .filter_map(|line| {
+            let (key, value) = line.split_once('=')?;
+            Some((key.trim().to_string(), value.trim().to_string()))
+        })
+        .collect()
 }
 
 #[test]
-fn committed_baseline_is_version_2_and_empty() {
-    // PR invariant: the last panic-path debt was burned down, so the
-    // blessed baseline tolerates nothing.  Any future finding is a
-    // regression against an *empty* counts map — the strongest ratchet
-    // state there is.  This test pins the file itself so a hand-edited
-    // allowance can't sneak in without failing CI.
-    let text = fs::read_to_string(repo_root().join(BASELINE_FILE)).expect("baseline file");
-    let doc = json::parse(&text).expect("baseline is valid JSON");
-    let version = doc
-        .get("version")
-        .and_then(json::Value::as_u64)
-        .expect("version field");
-    assert_eq!(version, 2, "baseline must be schema version 2");
-    let rules = doc.get("rules").and_then(json::Value::as_array);
-    assert!(
-        rules.is_some_and(|r| !r.is_empty()),
-        "v2 baseline lists the active rules"
-    );
-    let counts = doc
-        .get("counts")
-        .and_then(json::Value::as_object)
-        .expect("counts field");
-    assert!(
-        counts.is_empty(),
-        "baseline counts must stay empty — fix or pragma the finding \
-         instead of re-blessing debt: {counts:?}"
-    );
+fn service_crates_opt_into_the_denying_lint_table() {
+    for name in SERVICE_CRATES {
+        let manifest = read(&format!("crates/{name}/Cargo.toml"));
+        assert!(
+            table(&manifest, "lints").contains(&("workspace".into(), "true".into())),
+            "crates/{name}/Cargo.toml must opt into the policy with `[lints] workspace = true`"
+        );
+    }
+    let policy = table(&read("Cargo.toml"), "workspace.lints.clippy");
+    for lint in POLICY_LINTS {
+        assert!(
+            policy.contains(&((*lint).into(), "\"deny\"".into())),
+            "[workspace.lints.clippy] must set {lint} = \"deny\": {policy:?}"
+        );
+    }
+    let clippy_toml = read("clippy.toml");
+    for path in [
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
+        "std::collections::HashMap",
+        "std::collections::HashSet",
+    ] {
+        assert!(
+            clippy_toml.contains(&format!("\"{path}\"")),
+            "clippy.toml must disallow {path}"
+        );
+    }
 }
 
 #[test]
 fn workspace_has_zero_live_findings() {
-    // The zero-baseline milestone, stated directly: scanning the real
-    // tree yields no live finding of any rule.  Waived sites are still
-    // reported (the JSON feed carries them) but each one names its
-    // justification.
     let findings = scan_workspace(&repo_root(), &Config::default()).expect("scan");
-    let alive: Vec<String> = live(&findings).iter().map(ToString::to_string).collect();
-    assert!(alive.is_empty(), "live findings: {alive:#?}");
-    for waived in findings.iter().filter(|f| f.waived) {
-        assert!(
-            !waived.file.is_empty() && waived.line > 0,
-            "waived finding lost its location: {waived:?}"
-        );
-    }
-}
-
-#[test]
-fn engine_crate_has_no_panic_path_debt() {
-    // PR 8 invariant, still pinned: the service-facing crate carries
-    // zero panic-path findings, waived or otherwise.
-    let findings = scan_workspace(&repo_root(), &Config::default()).expect("scan");
-    let engine: Vec<String> = findings
-        .iter()
-        .filter(|f| f.file.starts_with("crates/engine/") && f.rule == "panic-path")
-        .map(ToString::to_string)
-        .collect();
-    assert!(engine.is_empty(), "engine findings: {engine:#?}");
+    let found: Vec<String> = findings.iter().map(ToString::to_string).collect();
+    assert!(found.is_empty(), "findings: {found:#?}");
 }
 
 #[test]
 fn interproc_rules_are_clean_workspace_wide() {
-    // PR 10 invariant: the request path holds no conflicting lock
-    // orders, no unguarded recursion, and no reachable panic in the
-    // `models`/`bench` reach crates.  All three interproc rules gate at
-    // zero tolerance against the empty baseline.
-    let findings = scan_workspace(&repo_root(), &Config::default()).expect("scan");
-    let interproc: Vec<String> = live(&findings)
+    // The request path holds no conflicting lock orders and no
+    // unguarded recursion, and the scan actually reached it: the
+    // entry points resolve to graph nodes.
+    let root = repo_root();
+    let config = Config::default();
+    let findings = scan_workspace(&root, &config).expect("scan");
+    let interproc: Vec<String> = findings
         .iter()
-        .filter(|f| {
-            f.rule == "lock-order" || f.rule == "recurse-request" || f.rule == "panic-reach"
-        })
+        .filter(|f| f.rule == "lock-order" || f.rule == "recurse-request")
         .map(ToString::to_string)
         .collect();
     assert!(interproc.is_empty(), "interproc findings: {interproc:#?}");
-    // Every waived panic-reach site carries its justification through
-    // to the findings feed.
-    for waived in findings
-        .iter()
-        .filter(|f| f.waived && f.rule == "panic-reach")
-    {
-        assert!(
-            waived
-                .justification
-                .as_deref()
-                .is_some_and(|text| !text.trim().is_empty()),
-            "waived panic-reach lost its justification: {waived:?}"
-        );
-    }
-}
-
-#[test]
-fn determinism_rules_are_clean_workspace_wide() {
-    // Satellite triage outcome, pinned: no unordered containers in
-    // hashed paths (det-map-iter == 0), and every float-eq /
-    // wall-clock site either uses to_bits/elapsed idioms or carries a
-    // justified pragma.
-    let findings = scan_workspace(&repo_root(), &Config::default()).expect("scan");
-    let det: Vec<String> = live(&findings)
-        .iter()
-        .filter(|f| f.rule.starts_with("det-"))
-        .map(ToString::to_string)
-        .collect();
-    assert!(det.is_empty(), "determinism findings: {det:#?}");
-    let poison: Vec<String> = live(&findings)
-        .iter()
-        .filter(|f| f.rule == "lock-poison" || f.rule == "bad-pragma")
-        .map(ToString::to_string)
-        .collect();
-    assert!(poison.is_empty(), "poison/pragma findings: {poison:#?}");
+    let graph = hypar_analyzer::callgraph_of(&root, &config).expect("call graph");
+    assert!(graph.has_entries(), "the service entry points resolve");
 }

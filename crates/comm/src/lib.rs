@@ -41,6 +41,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![cfg_attr(
+    test,
+    expect(
+        clippy::float_cmp,
+        clippy::let_underscore_must_use,
+        clippy::cast_possible_truncation,
+        reason = "unit tests assert exact values and discard results they do not inspect"
+    )
+)]
 
 mod cost;
 mod model;

@@ -88,6 +88,10 @@ impl Iterator for AssignmentSpace {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the enumeration is capped at 2^24 candidates, far below usize::MAX"
+        )]
         let remaining = (self.end - self.next) as usize;
         (remaining, Some(remaining))
     }

@@ -46,7 +46,7 @@ impl DescentReport {
     /// `seed_cost / refined_cost` (≥ 1): how much the descent recovered.
     #[must_use]
     pub fn improvement(&self) -> f64 {
-        // hypar-allow: det-float-eq — exact-zero guard before division; a zero-cost plan has an exact 0.0, not an epsilon
+        // Exact-zero guard before division: a zero-cost plan has an exact 0.0, not an epsilon.
         if self.refined_cost == 0.0 {
             1.0
         } else {

@@ -1,5 +1,10 @@
 //! The engine's LRU plan cache.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only; the one scan, LRU eviction, takes a min over unique ticks, so map order never reaches a reply"
+)]
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};

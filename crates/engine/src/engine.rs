@@ -11,7 +11,7 @@ use hypar_graph::{zoo as graph_zoo, DagNetwork, SegmentCommGraph};
 use hypar_models::zoo;
 use hypar_models::{ConvSpec, Layer, Network, NetworkShapes, PoolKind, PoolSpec};
 use hypar_sim::{training, ArchConfig};
-use hypar_telemetry::{duration_ns_since, RegistrySnapshot, SpanRecorder};
+use hypar_telemetry::{RegistrySnapshot, SpanRecorder};
 use hypar_tensor::FeatureDims;
 
 use crate::cache::{CacheStats, PlanCache};
@@ -160,13 +160,12 @@ impl PlanEngine {
             response.cache_hit = true;
             return Ok(response);
         }
-        // hypar-allow: det-wall-clock — compute-latency metric; recorded to telemetry, never folded into fingerprints or state hashes
-        let compute_started = std::time::Instant::now();
         let response =
             root.time_in("compute", |span| resolved.compute(key, span, &self.metrics))?;
-        self.metrics
-            .plan_compute_ns
-            .record(duration_ns_since(compute_started));
+        // One clock: the compute histogram reads the span just finished.
+        if let Some(compute) = root.last_child() {
+            self.metrics.plan_compute_ns.record(compute.duration_ns);
+        }
         let response = Arc::new(response);
         self.cache.insert(key, Arc::clone(&response));
         Ok((*response).clone())

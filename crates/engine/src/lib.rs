@@ -60,6 +60,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![cfg_attr(
+    test,
+    expect(
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        reason = "unit tests assert exact values and discard results they do not inspect"
+    )
+)]
 
 pub mod cache;
 mod engine;

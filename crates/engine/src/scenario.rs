@@ -226,7 +226,7 @@ impl fmt::Display for ScenarioReport {
                         r.batch,
                         // An H0 plan reports an exact zero that may carry a
                         // negative sign; normalize it for display.
-                        // hypar-allow: det-float-eq — exact-zero sentinel for display normalization; -0.0 compares equal on purpose
+                        // Exact-zero sentinel for display normalization; -0.0 compares equal on purpose.
                         if r.total_comm_elems == 0.0 {
                             0.0
                         } else {
@@ -321,7 +321,10 @@ pub fn record_report(
 pub fn run(engine: &PlanEngine, scenario: &Scenario) -> ScenarioReport {
     let before = engine.cache_stats();
     let results = parallel::map(&scenario.requests, |request| {
-        // hypar-allow: det-wall-clock — per-request latency metric; feeds the report's percentiles, never a fingerprint or state hash
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-request latency metric; feeds the report's percentiles, never a fingerprint or state hash"
+        )]
         let started = Instant::now();
         let result = engine.plan(request);
         (result, started.elapsed().as_secs_f64() * 1e3)

@@ -2,6 +2,12 @@
 //! deeply nested, and absurdly large request bytes must yield a typed
 //! error JSON line — never a panic, never an unbounded stall.
 
+#![expect(
+    clippy::panic,
+    clippy::disallowed_methods,
+    reason = "helpers fail by panicking; latency bounds read the wall clock"
+)]
+
 use std::time::{Duration, Instant};
 
 use hypar_engine::{service, PlanEngine};

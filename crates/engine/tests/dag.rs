@@ -2,6 +2,13 @@
 //! graph requests end to end through the engine, cache semantics, chain
 //! linearization equivalence, and fingerprint stability.
 
+#![expect(
+    clippy::float_cmp,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_types,
+    reason = "assertions compare exact values; results a test does not inspect are discarded; hash sets only count distinct items"
+)]
+
 use hypar_engine::{
     CustomNetwork, EngineError, GraphNodeSpec, GraphSpec, InputSpec, LayerSpec, PlanEngine,
     PlanRequest, Strategy,

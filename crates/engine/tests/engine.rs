@@ -1,6 +1,12 @@
 //! Integration tests of the planning engine: cache semantics, fingerprint
 //! stability, batch determinism, and wire-format round-trips.
 
+#![expect(
+    clippy::float_cmp,
+    clippy::disallowed_types,
+    reason = "assertions compare exact values; hash sets only count distinct items"
+)]
+
 use hypar_engine::{
     CustomNetwork, EngineError, InputSpec, LayerSpec, PlanEngine, PlanRequest, PlanResponse,
     Strategy,

@@ -8,7 +8,8 @@
 //! mutant through the full [`service::handle_line`] path, asserting
 //!
 //! 1. **no panic** — a panicking request handler aborts the service,
-//!    the exact failure class `panic-path`/`panic-reach` gate against;
+//!    the exact failure class clippy's `unwrap_used`/`panic` lints gate
+//!    against;
 //! 2. **always a JSON reply** — every input, however mangled, yields a
 //!    single parseable JSON line (a plan or a typed error);
 //! 3. **bounded latency** — no mutant may stall the loop (planning work
@@ -20,6 +21,13 @@
 //! from inputs that already proved interesting — the same AFL-style
 //! loop as `hypar-analyzer --self-fuzz`, with reply classes standing in
 //! for branch edges.
+
+#![expect(
+    clippy::panic,
+    clippy::cast_possible_truncation,
+    clippy::disallowed_methods,
+    reason = "helpers fail by panicking; small generator counts are cast; latency bounds read the wall clock"
+)]
 
 use std::collections::BTreeSet;
 use std::panic::{self, AssertUnwindSafe};

@@ -1,6 +1,12 @@
 //! End-to-end tests of the `hypar-engine` binary: the stdin/stdout JSON
 //! protocol and the scenario-file runner.
 
+#![expect(
+    clippy::expect_used,
+    clippy::let_underscore_must_use,
+    reason = "helpers fail by panicking; results a test does not inspect are discarded"
+)]
+
 use std::io::Write;
 use std::process::{Command, Stdio};
 

@@ -2,6 +2,8 @@
 //! node-insertion order, and sensitivity to every plan bit and to
 //! one-ulp cost drift.
 
+#![expect(clippy::expect_used, reason = "helpers fail by panicking")]
+
 use hypar_comm::Parallelism;
 use hypar_core::HierarchicalPlan;
 use hypar_engine::{GraphNodeSpec, GraphSpec, InputSpec, PlanEngine, PlanRequest, PlanResponse};

@@ -2,6 +2,11 @@
 //! the metrics registry behind `metrics_snapshot`, and the service's
 //! `{"stats": true}` admin command.
 
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "results a test does not inspect are discarded"
+)]
+
 use hypar_engine::{service, PlanEngine, PlanRequest, Strategy};
 use serde::Value;
 
@@ -117,6 +122,24 @@ fn metrics_snapshot_counters_are_monotone_and_consistent() {
         second.counter("requests").unwrap(),
         "every request is exactly one cache lookup"
     );
+}
+
+#[test]
+fn compute_histogram_records_the_compute_span_duration() {
+    // One clock: a cache miss records the finished `compute` span's own
+    // duration, not a second timer wrapped around it.
+    let engine = PlanEngine::new();
+    let traced = engine
+        .plan(&PlanRequest::zoo("lenet_c").levels(3).trace(true))
+        .unwrap();
+    let timing = traced.timing.expect("traced requests carry timing");
+    let compute = timing.trace.find("compute").expect("cache-miss compute");
+    let snapshot = engine.metrics_snapshot();
+    let histogram = snapshot
+        .histogram("plan_compute_ns")
+        .expect("compute histogram");
+    assert_eq!(histogram.count, 1);
+    assert_eq!(histogram.sum, compute.duration_ns);
 }
 
 #[test]

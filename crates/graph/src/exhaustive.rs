@@ -129,10 +129,10 @@ pub fn best_joint_graph_with(
                         Parallelism::Model => 2.0 * layers[l].output_elems * bat[l],
                     };
                 }
-                // Junctions between adjacent in-segment layers index the
-                // scale scratch at both endpoints, so a range loop is the
-                // clearest form here.
-                #[allow(clippy::needless_range_loop)]
+                #[expect(
+                    clippy::needless_range_loop,
+                    reason = "junctions index the scale scratch at both endpoints l and l + 1"
+                )]
                 for l in start..end.saturating_sub(1) {
                     let scale = junction_scale(&bat, &fin, l, l + 1);
                     inter_sum += inter_elems(

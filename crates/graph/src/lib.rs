@@ -53,6 +53,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![cfg_attr(
+    test,
+    expect(
+        clippy::float_cmp,
+        reason = "unit tests assert exact values and discard results they do not inspect"
+    )
+)]
 
 mod dag;
 mod error;

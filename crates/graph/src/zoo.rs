@@ -64,6 +64,10 @@ pub fn all() -> Vec<DagNetwork> {
 /// tensors materially; the classifier consumes the flattened 7×7×512
 /// map.)
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "static zoo literal validated by the structure tests; no service input reaches this builder"
+)]
 pub fn resnet18() -> DagNetwork {
     let mut g = GraphBuilder::new("ResNet-18", FeatureDims::new(3, 224, 224));
     g.layer(
@@ -83,6 +87,10 @@ pub fn resnet18() -> DagNetwork {
     for (stage, &channels) in [64u64, 128, 256, 512].iter().enumerate() {
         for block in 0..2usize {
             let stride = if stage > 0 && block == 0 { 2 } else { 1 };
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "block counts 0..2, far below u8::MAX"
+            )]
             let base = format!("res{}{}", stage + 2, char::from(b'a' + block as u8));
             let conv_a = format!("{base}_2a");
             let conv_b = format!("{base}_2b");
@@ -118,7 +126,6 @@ pub fn resnet18() -> DagNetwork {
         }
     }
     g.fully_connected("fc1000", 1000, &prev);
-    // hypar-allow: panic-path — static zoo literal validated by the structure tests; no service input reaches this builder
     g.build().expect("ResNet-18 is a valid graph")
 }
 
@@ -128,6 +135,10 @@ pub fn resnet18() -> DagNetwork {
 ///
 /// 8 weighted layers in 5 segments joined by 6 branch/concat edges.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "static zoo literal validated by the structure tests; no service input reaches this builder"
+)]
 pub fn inception_mini() -> DagNetwork {
     let mut g = GraphBuilder::new("Inception-Mini", FeatureDims::new(3, 32, 32));
     g.layer(
@@ -145,7 +156,6 @@ pub fn inception_mini() -> DagNetwork {
         "mixed",
     )
     .fully_connected("fc10", 10, "conv2");
-    // hypar-allow: panic-path — static zoo literal validated by the structure tests; no service input reaches this builder
     g.build().expect("Inception-Mini is a valid graph")
 }
 

@@ -12,6 +12,12 @@
 //!   the stitched plan's levels are one point of the joint space, and
 //!   [`hypar_graph::evaluate_graph_plan`] prices both identically.
 
+#![expect(
+    clippy::float_cmp,
+    clippy::expect_used,
+    reason = "assertions compare exact values; helpers fail by panicking"
+)]
+
 use hypar_comm::NetworkCommTensors;
 use hypar_core::exhaustive;
 use hypar_graph::{best_joint_graph, partition_graph, GraphBuilder, SegmentCommGraph, INPUT};

@@ -5,6 +5,12 @@
 //! directly through [`hypar_models::NetworkBuilder`] — and the segment
 //! planner must reproduce the chain planner bit for bit.
 
+#![expect(
+    clippy::float_cmp,
+    clippy::expect_used,
+    reason = "assertions compare exact values; helpers fail by panicking"
+)]
+
 use hypar_comm::NetworkCommTensors;
 use hypar_core::hierarchical;
 use hypar_graph::{GraphBuilder, INPUT};

@@ -15,6 +15,8 @@
 //!   directions — so the certificate is the evaluated cost of each
 //!   plan's own bits under the shared whole-graph model.
 
+#![expect(clippy::expect_used, reason = "helpers fail by panicking")]
+
 use hypar_comm::JunctionScaling;
 use hypar_graph::{
     best_joint_graph_with, partition_graph_refined_with, partition_graph_with, zoo, GraphBuilder,

@@ -131,6 +131,10 @@ impl NetworkBuilder {
     ///
     /// Panics if no layer has been added yet — pooling in this model always
     /// belongs to a weighted layer, as in the paper's `HP[l]` lists.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented builder contract (# Panics); callers are the static zoo literals"
+    )]
     pub fn pool(&mut self, pool: PoolSpec) -> &mut Self {
         let layer = self
             .layers
@@ -146,6 +150,10 @@ impl NetworkBuilder {
     /// # Panics
     ///
     /// Panics if no layer has been added yet.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented builder contract (# Panics); callers are the static zoo literals"
+    )]
     pub fn activation(&mut self, activation: crate::Activation) -> &mut Self {
         let layer = self
             .layers

@@ -93,6 +93,10 @@ fn by_canonical_name(name: &str) -> Option<Network> {
 
 /// All ten zoo networks in the paper's presentation order.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "NAMES is the registry by_name matches; the zoo tests build every entry"
+)]
 pub fn all() -> Vec<Network> {
     NAMES
         .iter()
@@ -103,6 +107,10 @@ pub fn all() -> Vec<Network> {
 /// `SFC`: the paper's pure fully-connected MNIST network,
 /// `784-8192-8192-8192-10` (Table 3).
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "static zoo literal validated by the Table 3 shape tests; no service input reaches this builder"
+)]
 pub fn sfc() -> Network {
     let mut b = Network::builder("SFC", FeatureDims::flat(784));
     b.fully_connected("fc1", 8192)
@@ -110,7 +118,6 @@ pub fn sfc() -> Network {
         .fully_connected("fc3", 8192)
         .fully_connected("fc4", 10)
         .activation(Activation::None);
-    // hypar-allow: panic-reach — static zoo literal validated by the Table 3 shape tests; no service input reaches this builder
     b.build().expect("SFC is a valid network")
 }
 
@@ -118,6 +125,10 @@ pub fn sfc() -> Network {
 /// `20@5×5, 50@5×5 (2×2 max pool), 50@5×5, 10@5×5 (2×2 max pool)`
 /// (Table 3); its final feature map is exactly `1×1×10`.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "static zoo literal validated by the Table 3 shape tests; no service input reaches this builder"
+)]
 pub fn sconv() -> Network {
     let mut b = Network::builder("SCONV", FeatureDims::new(1, 28, 28));
     b.conv("conv1", ConvSpec::valid(20, 5))
@@ -126,13 +137,16 @@ pub fn sconv() -> Network {
         .conv("conv3", ConvSpec::valid(50, 5))
         .conv("conv4", ConvSpec::valid(10, 5))
         .pool(PoolSpec::max2());
-    // hypar-allow: panic-reach — static zoo literal validated by the Table 3 shape tests; no service input reaches this builder
     b.build().expect("SCONV is a valid network")
 }
 
 /// `Lenet-c`: the Caffe LeNet for MNIST — conv 20@5×5 + 2×2 pool,
 /// conv 50@5×5 + 2×2 pool, fc 500, fc 10 (430,500 weights).
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "static zoo literal validated by the Table 3 shape tests; no service input reaches this builder"
+)]
 pub fn lenet_c() -> Network {
     let mut b = Network::builder("Lenet-c", FeatureDims::new(1, 28, 28));
     b.conv("conv1", ConvSpec::valid(20, 5))
@@ -141,7 +155,6 @@ pub fn lenet_c() -> Network {
         .pool(PoolSpec::max2())
         .fully_connected("fc1", 500)
         .fully_connected("fc2", 10);
-    // hypar-allow: panic-reach — static zoo literal validated by the Table 3 shape tests; no service input reaches this builder
     b.build().expect("Lenet-c is a valid network")
 }
 
@@ -149,6 +162,10 @@ pub fn lenet_c() -> Network {
 /// convolutions (32, 32, 64 filters) each followed by 2×2 pooling, then
 /// fc 64 and fc 10.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "static zoo literal validated by the Table 3 shape tests; no service input reaches this builder"
+)]
 pub fn cifar_c() -> Network {
     let mut b = Network::builder("Cifar-c", FeatureDims::new(3, 32, 32));
     b.conv("conv1", ConvSpec::same(32, 5))
@@ -159,7 +176,6 @@ pub fn cifar_c() -> Network {
         .pool(PoolSpec::max2())
         .fully_connected("fc1", 64)
         .fully_connected("fc2", 10);
-    // hypar-allow: panic-reach — static zoo literal validated by the Table 3 shape tests; no service input reaches this builder
     b.build().expect("Cifar-c is a valid network")
 }
 
@@ -167,6 +183,10 @@ pub fn cifar_c() -> Network {
 /// with 227×227 inputs, five convolutions and three fully-connected
 /// layers.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "static zoo literal validated by the Table 3 shape tests; no service input reaches this builder"
+)]
 pub fn alexnet() -> Network {
     let mut b = Network::builder("AlexNet", FeatureDims::new(3, 227, 227));
     b.conv(
@@ -188,7 +208,6 @@ pub fn alexnet() -> Network {
     .fully_connected("fc1", 4096)
     .fully_connected("fc2", 4096)
     .fully_connected("fc3", 1000);
-    // hypar-allow: panic-reach — static zoo literal validated by the Table 3 shape tests; no service input reaches this builder
     b.build().expect("AlexNet is a valid network")
 }
 
@@ -200,6 +219,10 @@ struct VggConfig {
     blocks: [(usize, u64); 5],
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "static zoo literal validated by the Table 3 shape tests; no service input reaches this builder"
+)]
 fn vgg(config: &VggConfig) -> Network {
     const CHANNELS: [u64; 5] = [64, 128, 256, 512, 512];
     let mut b = Network::builder(config.name, FeatureDims::new(3, 224, 224));
@@ -220,7 +243,6 @@ fn vgg(config: &VggConfig) -> Network {
         .fully_connected("fc2", 4096)
         .fully_connected("fc3", 1000)
         .activation(Activation::None);
-    // hypar-allow: panic-reach — static zoo literal validated by the Table 3 shape tests; no service input reaches this builder
     b.build().expect("VGG configurations are valid networks")
 }
 

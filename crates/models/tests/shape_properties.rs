@@ -1,5 +1,7 @@
 //! Property tests for shape inference over randomly generated networks.
 
+#![expect(clippy::expect_used, reason = "helpers fail by panicking")]
+
 use hypar_models::{ConvSpec, Network, NetworkError, NetworkShapes, PoolSpec};
 use hypar_tensor::FeatureDims;
 use proptest::prelude::*;

@@ -47,6 +47,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![cfg_attr(
+    test,
+    expect(
+        clippy::unused_result_ok,
+        reason = "unit tests assert exact values and discard results they do not inspect"
+    )
+)]
 
 pub mod drift;
 pub mod golden;

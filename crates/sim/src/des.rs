@@ -94,7 +94,6 @@ struct Task {
 
 #[derive(Debug)]
 struct Resource {
-    #[allow(dead_code)]
     name: String,
     busy_until: f64,
     busy_total: f64,

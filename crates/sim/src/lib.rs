@@ -45,6 +45,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![cfg_attr(
+    test,
+    expect(
+        clippy::float_cmp,
+        clippy::let_underscore_must_use,
+        reason = "unit tests assert exact values and discard results they do not inspect"
+    )
+)]
 
 mod config;
 pub mod des;

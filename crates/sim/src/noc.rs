@@ -55,6 +55,10 @@ impl Topology {
         );
         match self {
             Self::HTree => {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "h < num_levels, and level counts are single digits"
+                )]
                 let doublings = (num_levels - 1 - h) as i32;
                 leaf_bytes_per_sec * 2f64.powi(doublings)
             }

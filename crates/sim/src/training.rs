@@ -358,6 +358,10 @@ impl<'a> Builder<'a> {
         }
         let shape = self.segs[s].shapes.layer(l);
         let leaf = self.segs[s].leaf(l);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a fraction in (0, 1] of a u64 count rounds up to at most that count"
+        )]
         let scaled = |v: u64, frac: f64| ((v as f64 * frac).ceil() as u64).max(1);
         let batch = scaled(shape.batch, leaf.batch_fraction().value());
         Some(if shape.is_conv {
@@ -538,7 +542,7 @@ impl<'a> Builder<'a> {
             deps
         };
         let join_elems: f64 = incoming.iter().map(|e| e.join_elems).sum();
-        // hypar-allow: det-float-eq — exact-zero skip: a join stage is only scheduled when traffic exists, and absent traffic is an exact 0.0 sum
+        // Exact-zero skip: a join stage is only scheduled when traffic exists, and absent traffic is an exact 0.0 sum.
         if !self.cfg.join_compute || join_elems == 0.0 {
             return entry;
         }

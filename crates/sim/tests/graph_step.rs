@@ -10,6 +10,8 @@
 //! stitched analytic model and that `overlap_comm` lets independent
 //! branches overlap.
 
+#![expect(clippy::expect_used, reason = "helpers fail by panicking")]
+
 use hypar_comm::NetworkCommTensors;
 use hypar_core::{baselines, hierarchical};
 use hypar_graph::{partition_graph, plan_segments, zoo, GraphBuilder, INPUT};

@@ -173,6 +173,10 @@ impl Histogram {
             }
             // Nearest-rank over the bucket counts: the smallest bucket
             // whose cumulative count reaches ceil(q * count).
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "q in [0, 1] keeps the rank within 0..=count"
+            )]
             let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
             let mut seen = 0u64;
             for (b, &n) in buckets.iter().enumerate() {
@@ -429,6 +433,10 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "q in [0, 1] keeps the rank within 0..=len"
+    )]
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
 }

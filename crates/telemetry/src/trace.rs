@@ -137,6 +137,10 @@ pub struct SpanRecorder {
 impl SpanRecorder {
     /// Starts timing a unit of work named `name`.
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the telemetry layer owns the service's one clock; durations never feed a fingerprint or state hash"
+    )]
     pub fn start(name: impl Into<String>) -> Self {
         SpanRecorder {
             name: name.into(),
@@ -164,6 +168,12 @@ impl SpanRecorder {
         let result = f(&mut child);
         self.children.push(child.finish());
         result
+    }
+
+    /// The most recently finished child span, if any.
+    #[must_use]
+    pub fn last_child(&self) -> Option<&Span> {
+        self.children.last()
     }
 
     /// Freezes the recorder into its [`Span`], stamping the duration.
