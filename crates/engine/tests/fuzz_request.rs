@@ -21,6 +21,10 @@
 //! from inputs that already proved interesting — the same AFL-style
 //! loop as `hypar-analyzer --self-fuzz`, with reply classes standing in
 //! for branch edges.
+//!
+//! A deterministic sweep holds the same latency bound over the whole
+//! level space of *valid* simulated requests: every zoo network × every
+//! strategy but `exhaustive` × levels 0–16 × both topologies.
 
 #![expect(
     clippy::panic,
@@ -244,4 +248,45 @@ fn request_fuzzing_is_deterministic() {
         first, second,
         "same seed must reproduce the same coverage and corpus"
     );
+}
+
+/// Every zoo network × `hypar`/`dp`/`mp`/`owt`/`refined` × levels 0–16
+/// × H-tree/torus, all with `simulate: true`: each line plans and
+/// simulates within [`MUTANT_BUDGET`].  `exhaustive` stays out — its
+/// cost grows as `2^slots`, not with the simulated array.
+#[test]
+fn simulated_requests_over_the_whole_level_space_stay_within_budget() {
+    let engine = PlanEngine::new();
+    let networks = hypar_models::zoo::NAMES
+        .iter()
+        .chain(hypar_graph::zoo::NAMES.iter());
+    let mut requests = 0;
+    for network in networks {
+        for strategy in ["hypar", "dp", "mp", "owt", "refined"] {
+            for levels in 0..=16 {
+                for topology in ["htree", "torus"] {
+                    let line = format!(
+                        r#"{{"network": "{network}", "levels": {levels}, "strategy": "{strategy}", "topology": "{topology}", "simulate": true}}"#
+                    );
+                    let started = Instant::now();
+                    let reply = service::handle_line(&engine, &line);
+                    let elapsed = started.elapsed();
+                    assert!(elapsed < MUTANT_BUDGET, "{line} took {elapsed:?}");
+                    let Ok(value) = serde_json::from_str::<Value>(&reply) else {
+                        panic!("{line} got a non-JSON reply: {reply}");
+                    };
+                    assert!(
+                        value
+                            .get("simulation")
+                            .and_then(|sim| sim.get("step_time"))
+                            .and_then(Value::as_f64)
+                            .is_some_and(|t| t > 0.0),
+                        "{line} got no simulated plan: {reply}"
+                    );
+                    requests += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(requests, 12 * 5 * 17 * 2);
 }

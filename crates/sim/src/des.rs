@@ -170,7 +170,7 @@ impl Engine {
             assert!(dep.0 < id, "dependencies must be previously added tasks");
         }
         // Dedup so a task listed twice as a dependency is counted once.
-        let mut deps = spec.deps.clone();
+        let mut deps = spec.deps;
         deps.sort_unstable();
         deps.dedup();
         for dep in &deps {

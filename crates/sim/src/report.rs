@@ -7,12 +7,19 @@ use serde::{Deserialize, Serialize};
 /// Shape of the discrete-event schedule behind a [`StepReport`]: a cheap
 /// summary of the simulation trace that ships with every report (the
 /// full event log stays internal — it is orders of magnitude larger).
+///
+/// The simulator runs one accelerator and one pair channel per level
+/// (see [`crate::training`]); both counts are those of the full array
+/// the quotient represents.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SimTraceSummary {
-    /// DES tasks scheduled: compute stages, transfers, junction
-    /// forwarding/accumulation, and synchronization barriers.
+    /// DES tasks the step holds on the full array: each compute stage
+    /// once per accelerator, each transfer once per pair channel of its
+    /// level, junction forwarding/accumulation likewise, and every
+    /// synchronization barrier once.
     pub tasks: u64,
-    /// Resources the schedule ran over (processing units and links).
+    /// Resources of the full array: `2^H` accelerators, `2^H - 1` pair
+    /// channels and the barrier, so `2 · 2^H`.
     pub resources: u64,
 }
 

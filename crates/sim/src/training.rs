@@ -37,6 +37,16 @@
 //! are ordered only by their data dependencies, letting e.g. a gradient
 //! all-reduce hide underneath the remaining backward pass — and, on a
 //! branchy DAG, letting independent branches genuinely overlap.
+//!
+//! Every group at a level shares that level's dp/mp choices, so every
+//! accelerator, and every pair channel of a level, runs the same
+//! timeline.  The task graph therefore holds one accelerator and one
+//! pair channel per level — a symmetry quotient of the array whose
+//! report is bit-identical to the full replication's — while
+//! [`crate::SimTraceSummary`] counts the tasks and resources of the whole
+//! array.
+
+use std::fmt;
 
 use hypar_comm::{
     inter_split, intra_elems, junction_scale_between, LayerScale, NetworkCommTensors, Parallelism,
@@ -81,12 +91,19 @@ pub fn simulate_step(
     plan: &HierarchicalPlan,
     cfg: &ArchConfig,
 ) -> Result<StepReport, SimError> {
-    Ok(chain_builder(shapes, plan, cfg, false)?.run().0)
+    Ok(chain_builder(shapes, plan, cfg, false, Copies::One)?
+        .run()
+        .0)
 }
 
 /// Like [`simulate_step`], additionally returning the executed schedule as
 /// a Chrome trace (see [`crate::des::Schedule::chrome_trace`]) for
 /// visualization in `chrome://tracing` or Perfetto.
+///
+/// The trace shows one row per resource class — `accel0`, `link<h>.0`
+/// for each level `h`, and `barrier` — because every accelerator (and
+/// every pair channel of a level) runs the same timeline; the report's
+/// [`crate::SimTraceSummary`] still counts the whole array.
 ///
 /// # Errors
 ///
@@ -96,7 +113,7 @@ pub fn simulate_step_traced(
     plan: &HierarchicalPlan,
     cfg: &ArchConfig,
 ) -> Result<(StepReport, String), SimError> {
-    let (report, trace) = chain_builder(shapes, plan, cfg, true)?.run();
+    let (report, trace) = chain_builder(shapes, plan, cfg, true, Copies::One)?.run();
     Ok((report, trace.unwrap_or_default()))
 }
 
@@ -136,11 +153,12 @@ pub fn simulate_graph_step(
     plan: &HierarchicalPlan,
     cfg: &ArchConfig,
 ) -> Result<StepReport, SimError> {
-    Ok(graph_builder(graph, plan, cfg, false)?.run().0)
+    Ok(graph_builder(graph, plan, cfg, false, Copies::One)?.run().0)
 }
 
 /// Like [`simulate_graph_step`], additionally returning the executed
-/// schedule as a Chrome trace.
+/// schedule as a Chrome trace, with one row per resource class as in
+/// [`simulate_step_traced`].
 ///
 /// # Errors
 ///
@@ -150,7 +168,7 @@ pub fn simulate_graph_step_traced(
     plan: &HierarchicalPlan,
     cfg: &ArchConfig,
 ) -> Result<(StepReport, String), SimError> {
-    let (report, trace) = graph_builder(graph, plan, cfg, true)?.run();
+    let (report, trace) = graph_builder(graph, plan, cfg, true, Copies::One)?.run();
     Ok((report, trace.unwrap_or_default()))
 }
 
@@ -181,6 +199,7 @@ fn chain_builder<'a>(
     plan: &HierarchicalPlan,
     cfg: &'a ArchConfig,
     trace: bool,
+    copies: Copies,
 ) -> Result<Builder<'a>, SimError> {
     if plan.num_layers() != shapes.len() {
         return Err(SimError::LayerCountMismatch {
@@ -199,6 +218,7 @@ fn chain_builder<'a>(
         plan.num_levels(),
         cfg,
         trace,
+        copies,
     ))
 }
 
@@ -209,6 +229,7 @@ fn graph_builder<'a>(
     plan: &HierarchicalPlan,
     cfg: &'a ArchConfig,
     trace: bool,
+    copies: Copies,
 ) -> Result<Builder<'a>, SimError> {
     if plan.num_layers() != graph.num_layers() {
         return Err(SimError::LayerCountMismatch {
@@ -238,6 +259,7 @@ fn graph_builder<'a>(
         plan.num_levels(),
         cfg,
         trace,
+        copies,
     ))
 }
 
@@ -278,20 +300,71 @@ impl<'a> Seg<'a> {
     }
 }
 
+/// How many copies of each symmetric resource a [`Builder`] instantiates.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Copies {
+    /// One accelerator and one pair channel per level: the symmetry
+    /// quotient, the only graph production code builds.
+    One,
+    /// All `2^H` accelerators and all `2^h` pair channels of every level:
+    /// the full replication, kept as the tests' oracle.
+    #[cfg(test)]
+    All,
+}
+
+impl Copies {
+    /// How many of `count` symmetric resources to instantiate.
+    fn of(self, count: usize) -> usize {
+        if self == Copies::One {
+            1
+        } else {
+            count
+        }
+    }
+}
+
 /// Incrementally assembles the step's task graph over one or more chain
 /// segments joined by junction edges.
+///
+/// **The symmetry quotient.**  Algorithm 2 makes one dp/mp choice per
+/// layer per level, shared by every group at that level, so every stage
+/// of the step is `2^H` identical compute tasks (one per accelerator) or
+/// `2^h` identical transfers (one per level-`h` pair channel): each copy
+/// has the same duration (the bandwidth of a pair channel depends only on
+/// its level) and the same dependency list, and every accelerator (every
+/// level-`h` channel) runs exactly one copy of each of those stages, in
+/// the same order.  All copies of a stage therefore start and finish
+/// together, and the builder instantiates one of each resource class: one
+/// accelerator, one pair channel per level, and the barrier.  The
+/// schedule of that one copy is the schedule of every copy, so the report
+/// is bit-identical to the full replication's:
+///
+/// * `step_time` and `compute_busy` come from the one accelerator's
+///   timeline, and `link_busy` is the maximum over the per-level channels;
+/// * energy and byte totals are accumulated as per-copy × multiplicity;
+/// * `trace_summary` counts the tasks and resources the full replication
+///   holds (`2^H` accelerators, `2^H - 1` pair channels and the barrier,
+///   so `2^{H+1}` resources).
+///
+/// The tests keep the full replication ([`Copies::All`]) as the oracle.
 struct Builder<'a> {
     segs: Vec<Seg<'a>>,
     edges: Vec<SegmentEdge>,
     num_levels: usize,
     cfg: &'a ArchConfig,
     engine: Engine,
+    /// The instantiated accelerators: one, or all `2^H` under
+    /// [`Copies::All`].
     accels: Vec<ResourceId>,
-    /// `links[h][p]`: the pair-`p` channel at hierarchy level `h`.
+    /// `links[h][p]`: the instantiated pair-`p` channels of hierarchy
+    /// level `h` (one per level, or all `2^h`).
     links: Vec<Vec<ResourceId>>,
     barrier_res: ResourceId,
     /// Whether to label tasks for trace export.
     trace: bool,
+    /// Tasks the full replication holds: every stage counted once per
+    /// copy, every barrier once.
+    represented_tasks: u64,
     // Accounting.
     compute_energy: Joules,
     dram_energy: Joules,
@@ -307,15 +380,15 @@ impl<'a> Builder<'a> {
         num_levels: usize,
         cfg: &'a ArchConfig,
         trace: bool,
+        copies: Copies,
     ) -> Self {
-        let n = 1usize << num_levels;
         let mut engine = Engine::new();
-        let accels = (0..n)
+        let accels = (0..copies.of(1 << num_levels))
             .map(|i| engine.add_resource(format!("accel{i}")))
             .collect();
         let links = (0..num_levels)
             .map(|h| {
-                (0..(1usize << h))
+                (0..copies.of(1 << h))
                     .map(|p| engine.add_resource(format!("link{h}.{p}")))
                     .collect()
             })
@@ -332,6 +405,7 @@ impl<'a> Builder<'a> {
             links,
             barrier_res,
             trace,
+            represented_tasks: 0,
             compute_energy: Joules::ZERO,
             dram_energy: Joules::ZERO,
             link_energy: Joules::ZERO,
@@ -340,12 +414,14 @@ impl<'a> Builder<'a> {
         }
     }
 
+    /// Accelerators in the array, `2^H`.
     fn num_accels(&self) -> usize {
-        self.accels.len()
+        1 << self.num_levels
     }
 
     /// A zero-duration join of `deps` on the dedicated barrier resource.
     fn barrier(&mut self, deps: &[TaskId]) -> TaskId {
+        self.represented_tasks += 1;
         self.engine
             .add_task(TaskSpec::new(self.barrier_res, Seconds(0.0)).after_all(deps.iter().copied()))
     }
@@ -389,7 +465,7 @@ impl<'a> Builder<'a> {
         elementwise_total: f64,
         dram_bytes_per_accel: f64,
         mapping: Option<Mapping>,
-        label: &str,
+        label: fmt::Arguments<'_>,
         deps: &[TaskId],
     ) -> Vec<TaskId> {
         let n = self.num_accels() as f64;
@@ -416,21 +492,26 @@ impl<'a> Builder<'a> {
         self.dram_energy += self.cfg.energy.dram(dram_bytes_per_accel) * n;
         self.dram_bytes += dram_bytes_per_accel * n;
 
-        (0..self.num_accels())
-            .map(|i| {
-                let mut spec =
-                    TaskSpec::new(self.accels[i], duration).after_all(deps.iter().copied());
-                if self.trace {
-                    spec = spec.label(label);
-                }
-                self.engine.add_task(spec)
-            })
-            .collect()
+        self.represented_tasks += self.num_accels() as u64;
+        let label = self.trace.then(|| label.to_string());
+        add_copies(
+            &mut self.engine,
+            &self.accels,
+            duration,
+            label.as_deref(),
+            deps,
+        )
     }
 
     /// One transfer of `elems` tensor elements (both directions combined)
     /// on every pair-channel of level `h`.
-    fn comm_stage(&mut self, h: usize, elems: f64, label: &str, deps: &[TaskId]) -> Vec<TaskId> {
+    fn comm_stage(
+        &mut self,
+        h: usize,
+        elems: f64,
+        label: fmt::Arguments<'_>,
+        deps: &[TaskId],
+    ) -> Vec<TaskId> {
         let bytes_pair = elems * f64::from(self.cfg.precision_bytes);
         let bw =
             self.cfg
@@ -438,20 +519,19 @@ impl<'a> Builder<'a> {
                 .pair_bandwidth(h, self.num_levels, self.cfg.leaf_link_bytes_per_sec);
         // Full-duplex channel: the two directions flow simultaneously.
         let duration = Seconds(bytes_pair / 2.0 / bw);
-        let pairs = self.links[h].len();
+        let pairs = 1usize << h;
         self.comm_bytes_per_level[h] += bytes_pair * pairs as f64;
         self.link_energy += self.cfg.energy.link(bytes_pair) * pairs as f64;
 
-        (0..pairs)
-            .map(|p| {
-                let mut spec =
-                    TaskSpec::new(self.links[h][p], duration).after_all(deps.iter().copied());
-                if self.trace {
-                    spec = spec.label(label);
-                }
-                self.engine.add_task(spec)
-            })
-            .collect()
+        self.represented_tasks += pairs as u64;
+        let label = self.trace.then(|| label.to_string());
+        add_copies(
+            &mut self.engine,
+            &self.links[h],
+            duration,
+            label.as_deref(),
+            deps,
+        )
     }
 
     /// Levels at which segment `s` layer `l` is assigned `p`, deepest level
@@ -493,7 +573,7 @@ impl<'a> Builder<'a> {
             let (f_elems, e_elems) = inter_split(prev, next, edge.elems, scale);
             let elems = if forward { f_elems } else { e_elems };
             if elems > 0.0 {
-                tasks.extend(self.comm_stage(h, elems, &label, deps));
+                tasks.extend(self.comm_stage(h, elems, format_args!("{label}"), deps));
             }
             producer_scale = producer_scale.descend(prev);
             consumer_scale = consumer_scale.descend(next);
@@ -548,9 +628,10 @@ impl<'a> Builder<'a> {
         }
         // The accumulation cannot start before every branch tensor has
         // arrived, so the join is a synchronization point in both modes.
-        let head = self.segs[s].net.layer(0).name.clone();
+        let head = &self.segs[s].shapes.layer(0).name;
         let deps = vec![self.barrier(&entry)];
-        let tasks = self.compute_stage(0.0, join_elems, 0.0, None, &format!("join {head}"), &deps);
+        let label = format_args!("join {head}");
+        let tasks = self.compute_stage(0.0, join_elems, 0.0, None, label, &deps);
         vec![self.barrier(&tasks)]
     }
 
@@ -601,7 +682,7 @@ impl<'a> Builder<'a> {
         let num_layers = self.segs[s].len();
         let precision = f64::from(self.cfg.precision_bytes);
         for l in 0..num_layers {
-            let layer = self.segs[s].shapes.layer(l).clone();
+            let layer = self.segs[s].shapes.layer(l);
             let leaf = self.segs[s].leaf(l);
             let view = self.segs[s].net.layer(l).clone();
 
@@ -617,7 +698,7 @@ impl<'a> Builder<'a> {
                 layer.elementwise_ops as f64,
                 dram,
                 mapping,
-                &format!("fwd {}", layer.name),
+                format_args!("fwd {}", layer.name),
                 &deps,
             );
 
@@ -630,7 +711,7 @@ impl<'a> Builder<'a> {
                     self.segs[s].scales_at[h].layer(l),
                 );
                 let deps = vec![self.barrier(&tasks)];
-                tasks = self.comm_stage(h, elems, &format!("reduce F {}", layer.name), &deps);
+                tasks = self.comm_stage(h, elems, format_args!("reduce F {}", layer.name), &deps);
             }
 
             // Forward junction redistribution to layer l+1.
@@ -645,8 +726,8 @@ impl<'a> Builder<'a> {
                     );
                     if f_elems > 0.0 {
                         let deps = vec![self.barrier(&tasks)];
-                        let label = format!("xfer F {}", layer.name);
-                        junction_tasks.extend(self.comm_stage(h, f_elems, &label, &deps));
+                        let label = format_args!("xfer F {}", layer.name);
+                        junction_tasks.extend(self.comm_stage(h, f_elems, label, &deps));
                     }
                 }
                 if !junction_tasks.is_empty() {
@@ -677,7 +758,7 @@ impl<'a> Builder<'a> {
         let has_producer = self.edges.iter().any(|e| e.to == s);
 
         for l in (0..num_layers).rev() {
-            let layer = self.segs[s].shapes.layer(l).clone();
+            let layer = self.segs[s].shapes.layer(l);
             let leaf = self.segs[s].leaf(l);
             let view = self.segs[s].net.layer(l).clone();
 
@@ -693,8 +774,8 @@ impl<'a> Builder<'a> {
                     );
                     if e_elems > 0.0 {
                         let deps = vec![self.barrier(&bwd_frontier)];
-                        let label = format!("xfer E {}", layer.name);
-                        junction_tasks.extend(self.comm_stage(h, e_elems, &label, &deps));
+                        let label = format_args!("xfer E {}", layer.name);
+                        junction_tasks.extend(self.comm_stage(h, e_elems, label, &deps));
                     }
                 }
                 if !junction_tasks.is_empty() {
@@ -718,7 +799,7 @@ impl<'a> Builder<'a> {
                     0.0,
                     dram,
                     mapping,
-                    &format!("bwd {}", layer.name),
+                    format_args!("bwd {}", layer.name),
                     &deps,
                 ));
             }
@@ -732,7 +813,7 @@ impl<'a> Builder<'a> {
                 0.0,
                 dram,
                 mapping,
-                &format!("grad {}", layer.name),
+                format_args!("grad {}", layer.name),
                 &deps,
             );
             phase_tasks.extend(grad_tasks.iter().copied());
@@ -749,8 +830,8 @@ impl<'a> Builder<'a> {
                 let elems =
                     intra_elems(Parallelism::Data, &view, self.segs[s].scales_at[h].layer(l));
                 let deps = reduce_tail.clone();
-                let label = format!("allreduce dW {}", layer.name);
-                let tasks = self.comm_stage(h, elems, &label, &deps);
+                let label = format_args!("allreduce dW {}", layer.name);
+                let tasks = self.comm_stage(h, elems, label, &deps);
                 reduce_tail = vec![self.barrier(&tasks)];
             }
 
@@ -767,7 +848,7 @@ impl<'a> Builder<'a> {
                 w_slice,
                 2.0 * w_slice * precision,
                 None,
-                &format!("update {}", layer.name),
+                format_args!("update {}", layer.name),
                 &update_deps,
             );
             updates.extend(update_tasks.iter().copied());
@@ -783,6 +864,12 @@ impl<'a> Builder<'a> {
     }
 
     fn run(mut self) -> (StepReport, Option<String>) {
+        self.schedule_step();
+        self.finish()
+    }
+
+    /// Adds every task of the training step to the engine.
+    fn schedule_step(&mut self) {
         let num_segs = self.segs.len();
         let barrier_mode = !self.cfg.overlap_comm;
 
@@ -821,8 +908,6 @@ impl<'a> Builder<'a> {
         let mut finale: Vec<TaskId> = bwd_exit.into_iter().flatten().collect();
         finale.extend(updates);
         let _ = self.barrier(&finale);
-
-        self.finish()
     }
 
     fn finish(self) -> (StepReport, Option<String>) {
@@ -834,6 +919,7 @@ impl<'a> Builder<'a> {
             links,
             trace,
             num_levels,
+            represented_tasks,
             compute_energy,
             dram_energy,
             link_energy,
@@ -842,9 +928,10 @@ impl<'a> Builder<'a> {
             ..
         } = self;
 
+        let num_accelerators = 1u64 << num_levels;
         let trace_summary = crate::SimTraceSummary {
-            tasks: engine.num_tasks() as u64,
-            resources: engine.num_resources() as u64,
+            tasks: represented_tasks,
+            resources: 2 * num_accelerators,
         };
         let schedule = engine.run();
         let chrome_trace = trace.then(|| schedule.chrome_trace());
@@ -891,11 +978,32 @@ impl<'a> Builder<'a> {
             compute_busy,
             link_busy,
             dram_footprint_bytes: Bytes(footprint),
-            num_accelerators: accels.len() as u64,
+            num_accelerators,
             trace_summary,
         };
         (report, chrome_trace)
     }
+}
+
+/// One task of `duration` after `deps` on each of `resources`: the
+/// copies of one stage.
+fn add_copies(
+    engine: &mut Engine,
+    resources: &[ResourceId],
+    duration: Seconds,
+    label: Option<&str>,
+    deps: &[TaskId],
+) -> Vec<TaskId> {
+    resources
+        .iter()
+        .map(|&r| {
+            let mut spec = TaskSpec::new(r, duration).after_all(deps.iter().copied());
+            if let Some(label) = label {
+                spec = spec.label(label);
+            }
+            engine.add_task(spec)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1211,5 +1319,255 @@ mod tests {
         assert!(overlap.step_time <= serial.step_time);
         assert_eq!(overlap.comm_bytes, serial.comm_bytes);
         assert_eq!(overlap.energy, serial.energy);
+    }
+
+    /// The oracle: the full replication of every accelerator and pair
+    /// channel.  Its graph must hold exactly the tasks and resources the
+    /// report claims to represent.
+    fn run_all_copies(mut builder: Builder<'_>) -> StepReport {
+        builder.schedule_step();
+        let represented = crate::SimTraceSummary {
+            tasks: builder.engine.num_tasks() as u64,
+            resources: builder.engine.num_resources() as u64,
+        };
+        let (report, _) = builder.finish();
+        assert_eq!(report.trace_summary, represented);
+        report
+    }
+
+    /// The quotient's report is bit-identical to the oracle's.
+    fn assert_exact(quotient: &StepReport, full: &StepReport, case: &str) {
+        use hypar_telemetry::StateHash;
+        assert_eq!(quotient, full, "{case}");
+        assert_eq!(quotient.state_hash(), full.state_hash(), "{case}");
+    }
+
+    fn assert_chain_exact(shapes: &NetworkShapes, plan: &HierarchicalPlan, cfg: &ArchConfig) {
+        let quotient = simulate_step(shapes, plan, cfg).unwrap();
+        let full = run_all_copies(chain_builder(shapes, plan, cfg, false, Copies::All).unwrap());
+        assert_exact(&quotient, &full, &format!("{plan:?} {cfg:?}"));
+    }
+
+    fn assert_graph_exact(graph: &SegmentCommGraph, plan: &HierarchicalPlan, cfg: &ArchConfig) {
+        let quotient = simulate_graph_step(graph, plan, cfg).unwrap();
+        let full = run_all_copies(graph_builder(graph, plan, cfg, false, Copies::All).unwrap());
+        assert_exact(
+            &quotient,
+            &full,
+            &format!("{} {plan:?} {cfg:?}", graph.name()),
+        );
+    }
+
+    /// Both topologies × overlap off/on × detailed PE off/on, and join
+    /// compute on/off where the network has joins.
+    fn oracle_configs(joins: bool) -> Vec<ArchConfig> {
+        let mut configs = Vec::new();
+        for topology in [crate::Topology::HTree, crate::Topology::Torus] {
+            for overlap in [false, true] {
+                for detailed in [false, true] {
+                    for join_compute in [true, false].into_iter().take(1 + usize::from(joins)) {
+                        let mut cfg = ArchConfig::paper()
+                            .with_topology(topology)
+                            .with_overlap(overlap)
+                            .with_join_compute(join_compute);
+                        if detailed {
+                            cfg = cfg.with_detailed_pe();
+                        }
+                        configs.push(cfg);
+                    }
+                }
+            }
+        }
+        configs
+    }
+
+    /// Levels the zoo oracle sweeps.
+    const ORACLE_LEVELS: std::ops::RangeInclusive<usize> = 0..=6;
+
+    fn chain_oracle(name: &str) {
+        let (shapes, net) = setup(name, 256);
+        for levels in ORACLE_LEVELS {
+            let plans = [
+                hierarchical::partition(&net, levels),
+                baselines::all_data(&net, levels),
+                baselines::all_model(&net, levels),
+                baselines::one_weird_trick(&net, levels),
+            ];
+            for cfg in oracle_configs(false) {
+                for plan in &plans {
+                    assert_chain_exact(&shapes, plan, &cfg);
+                }
+            }
+        }
+    }
+
+    fn graph_oracle(name: &str) {
+        let graph = graph_zoo::by_name(name).unwrap().segments(64).unwrap();
+        for levels in ORACLE_LEVELS {
+            let plans = [
+                partition_graph(&graph, levels).unwrap(),
+                plan_segments(&graph, |s| baselines::all_data(s, levels)).unwrap(),
+                plan_segments(&graph, |s| baselines::all_model(s, levels)).unwrap(),
+                plan_segments(&graph, |s| baselines::one_weird_trick(s, levels)).unwrap(),
+            ];
+            for cfg in oracle_configs(true) {
+                for plan in &plans {
+                    assert_graph_exact(&graph, plan, &cfg);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quotient_matches_all_copies_on_the_chain_zoo() {
+        for name in zoo::NAMES {
+            chain_oracle(name);
+        }
+    }
+
+    #[test]
+    fn quotient_matches_all_copies_on_the_branchy_zoo() {
+        for name in graph_zoo::NAMES {
+            graph_oracle(name);
+        }
+    }
+
+    #[test]
+    fn quotient_trace_shows_one_row_per_resource_class() {
+        let (shapes, net) = setup("VGG-A", 256);
+        let plan = hierarchical::partition(&net, 4);
+        let (report, trace) = simulate_step_traced(&shapes, &plan, &ArchConfig::paper()).unwrap();
+        for row in ["accel0", "link0.0", "link3.0", "barrier"] {
+            assert!(trace.contains(&format!("\"{row}\"")), "trace missing {row}");
+        }
+        for row in ["accel1", "link1.1", "link3.1"] {
+            assert!(!trace.contains(row), "trace has a second copy: {row}");
+        }
+        // The summary still counts the full array: 16 accelerators, 15
+        // pair channels and the barrier.
+        assert_eq!(report.num_accelerators, 16);
+        assert_eq!(report.trace_summary.resources, 32);
+    }
+
+    mod properties {
+        use super::*;
+        use hypar_core::exhaustive::assignment_from_bits;
+        use hypar_graph::{GraphBuilder, INPUT};
+        use hypar_models::ConvSpec;
+        use hypar_tensor::FeatureDims;
+        use proptest::prelude::*;
+
+        /// A random DAG: a stem, then residual blocks `(channels,
+        /// projection, add)` joined with their skip by `add` (when the
+        /// channel counts agree) or `concat`, into a classifier.  With no
+        /// blocks it is a chain.
+        #[derive(Clone, Debug)]
+        struct DagSpec {
+            stem: u64,
+            blocks: Vec<(u64, bool, bool)>,
+            classes: u64,
+        }
+
+        impl DagSpec {
+            fn build(&self) -> hypar_graph::DagNetwork {
+                let mut g = GraphBuilder::new("prop", FeatureDims::new(3, 8, 8));
+                g.conv("stem", ConvSpec::same(self.stem, 3), INPUT);
+                let (mut prev, mut channels) = ("stem".to_owned(), self.stem);
+                for (i, &(out, projection, add)) in self.blocks.iter().enumerate() {
+                    let body = format!("body{i}");
+                    g.conv(&body, ConvSpec::same(out, 3), &prev);
+                    let (skip, skip_channels) = if projection {
+                        let proj = format!("proj{i}");
+                        g.conv(&proj, ConvSpec::same(out, 1), &prev);
+                        (proj, out)
+                    } else {
+                        (prev.clone(), channels)
+                    };
+                    let join = format!("join{i}");
+                    if add && skip_channels == out {
+                        g.add(&join, &[&body, &skip]);
+                        channels = out;
+                    } else {
+                        g.concat(&join, &[&body, &skip]);
+                        channels = out + skip_channels;
+                    }
+                    prev = join;
+                }
+                g.fully_connected("fc", self.classes, &prev);
+                g.build().unwrap()
+            }
+        }
+
+        fn arb_dag() -> impl Strategy<Value = DagSpec> {
+            (
+                1u64..16,
+                proptest::collection::vec((1u64..16, any::<bool>(), any::<bool>()), 0..3),
+                1u64..64,
+            )
+                .prop_map(|(stem, blocks, classes)| DagSpec {
+                    stem,
+                    blocks,
+                    classes,
+                })
+        }
+
+        fn arb_config() -> impl Strategy<Value = ArchConfig> {
+            (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
+                |(torus, overlap, detailed, join_compute)| {
+                    let topology = if torus {
+                        crate::Topology::Torus
+                    } else {
+                        crate::Topology::HTree
+                    };
+                    let cfg = ArchConfig::paper()
+                        .with_topology(topology)
+                        .with_overlap(overlap)
+                        .with_join_compute(join_compute);
+                    if detailed {
+                        cfg.with_detailed_pe()
+                    } else {
+                        cfg
+                    }
+                },
+            )
+        }
+
+        /// A plan with one random dp/mp bit per layer per level.
+        fn random_plan(names: Vec<String>, bits: &[u64]) -> HierarchicalPlan {
+            let levels = bits
+                .iter()
+                .map(|&b| assignment_from_bits(b, names.len()))
+                .collect();
+            HierarchicalPlan::from_parts("prop", names, levels, 0.0)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Random chains and DAGs under random plan bits and random
+            /// configurations: the quotient is bit-identical to the full
+            /// replication.
+            #[test]
+            fn quotient_matches_all_copies_on_random_plans(
+                spec in arb_dag(),
+                bits in proptest::collection::vec(any::<u64>(), 0..6),
+                batch in 1u64..64,
+                cfg in arb_config(),
+            ) {
+                let dag = spec.build();
+                let graph = dag.segments(batch).unwrap();
+                let names: Vec<String> = graph
+                    .segments()
+                    .iter()
+                    .flat_map(|s| s.layers().iter().map(|l| l.name.clone()))
+                    .collect();
+                let plan = random_plan(names, &bits);
+                assert_graph_exact(&graph, &plan, &cfg);
+                if dag.is_chain() {
+                    let shapes = NetworkShapes::infer(&dag.linearize().unwrap(), batch).unwrap();
+                    assert_chain_exact(&shapes, &plan, &cfg);
+                }
+            }
+        }
     }
 }
