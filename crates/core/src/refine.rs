@@ -13,9 +13,10 @@
 //! cap bounds the worst case anyway.
 //!
 //! The pass is cost-model agnostic: callers supply the evaluator, so the
-//! same loop refines a chain plan against
-//! [`crate::evaluate::evaluate_plan`] ([`refine_partition`]) and a
-//! whole-DAG plan against `hypar_graph`'s junction-aware evaluator
+//! same loop refines a chain against [`crate::evaluate::evaluate_plan`]
+//! ([`refine_partition_reported`]) and a segment graph — the service's
+//! one pipeline, where a chain is the one-segment case and agrees flip
+//! for flip — against `hypar_graph`'s junction-aware evaluator
 //! (`hypar_graph::refine`).  In FlexFlow terms this is a deterministic
 //! local search over the strategy space the MCMC sampler explores; in
 //! Tofu terms, a per-group re-decision under the committed remainder.
@@ -113,70 +114,27 @@ pub fn descend(
 }
 
 /// Algorithm 2's chain plan, refined: seeds from
-/// [`crate::hierarchical::partition`] and descends every bit against
-/// [`crate::evaluate::evaluate_plan`]'s total — the level-by-level greedy
-/// gap of the recursion (Figures 9/10) closed by polynomial local search
-/// instead of the `O(2^{L·H})` joint enumeration.
+/// [`crate::hierarchical::partition`] and descends every bit, in natural
+/// layer order, against [`crate::evaluate::evaluate_plan`]'s total — the
+/// level-by-level greedy gap of the recursion (Figures 9/10) closed by
+/// polynomial local search instead of the `O(2^{L·H})` joint enumeration.
+/// Returns the plan with the [`DescentReport`], so callers can surface
+/// the sweep and flip counts the descent performed.
 ///
 /// # Panics
 ///
 /// Panics if the network has no weighted layers (as
 /// [`crate::hierarchical::partition`] does).
 #[must_use]
-pub fn refine_partition(
-    net: &hypar_comm::NetworkCommTensors,
-    num_levels: usize,
-) -> crate::HierarchicalPlan {
-    refine_partition_with(net, num_levels, hypar_comm::JunctionScaling::Consumer)
-}
-
-/// [`refine_partition`] under an explicit
-/// [`hypar_comm::JunctionScaling`] interpretation.
-///
-/// # Panics
-///
-/// Same as [`refine_partition`].
-#[must_use]
-pub fn refine_partition_with(
-    net: &hypar_comm::NetworkCommTensors,
-    num_levels: usize,
-    mode: hypar_comm::JunctionScaling,
-) -> crate::HierarchicalPlan {
-    refine_partition_reported_with(net, num_levels, mode).0
-}
-
-/// [`refine_partition`] returning the [`DescentReport`] alongside the
-/// plan, so callers (the engine's telemetry layer) can surface the sweep
-/// and flip counts the descent performed.
-///
-/// # Panics
-///
-/// Same as [`refine_partition`].
-#[must_use]
 pub fn refine_partition_reported(
     net: &hypar_comm::NetworkCommTensors,
     num_levels: usize,
 ) -> (crate::HierarchicalPlan, DescentReport) {
-    refine_partition_reported_with(net, num_levels, hypar_comm::JunctionScaling::Consumer)
-}
-
-/// [`refine_partition_reported`] under an explicit
-/// [`hypar_comm::JunctionScaling`] interpretation.
-///
-/// # Panics
-///
-/// Same as [`refine_partition`].
-#[must_use]
-pub fn refine_partition_reported_with(
-    net: &hypar_comm::NetworkCommTensors,
-    num_levels: usize,
-    mode: hypar_comm::JunctionScaling,
-) -> (crate::HierarchicalPlan, DescentReport) {
-    let seed = crate::hierarchical::partition_with(net, num_levels, mode);
+    let seed = crate::hierarchical::partition(net, num_levels);
     let mut levels = seed.levels().to_vec();
     let order: Vec<usize> = (0..net.len()).collect();
     let report = descend(&mut levels, &order, |candidate| {
-        crate::evaluate::evaluate_plan_with(net, candidate, mode).total_elems()
+        crate::evaluate::evaluate_plan(net, candidate).total_elems()
     });
     let plan = crate::HierarchicalPlan::from_parts(
         net.name(),
@@ -224,7 +182,7 @@ mod tests {
         // the same cost.
         for (name, levels) in [("Lenet-c", 4), ("SFC", 4), ("SCONV", 4)] {
             let net = view(name, 256);
-            let refined = refine_partition(&net, levels);
+            let (refined, _) = refine_partition_reported(&net, levels);
             let (joint_cost, _) = exhaustive::best_joint(&net, levels).unwrap();
             assert!(
                 refined.total_comm_elems() <= joint_cost * (1.0 + 1e-12)
@@ -240,25 +198,27 @@ mod tests {
         for name in ["AlexNet", "VGG-A", "SFC"] {
             let net = view(name, 256);
             let seed = hierarchical::partition(&net, 4).total_comm_elems();
-            let refined = refine_partition(&net, 4).total_comm_elems();
+            let refined = refine_partition_reported(&net, 4).0.total_comm_elems();
             assert!(refined <= seed, "{name}: {refined} vs seed {seed}");
         }
     }
 
     #[test]
-    fn reported_variant_matches_the_plain_one() {
+    fn report_describes_the_returned_plan() {
         let net = view("SFC", 256);
-        let plain = refine_partition(&net, 4);
         let (plan, report) = refine_partition_reported(&net, 4);
-        assert_eq!(plan, plain);
         assert_eq!(report.refined_cost, plan.total_comm_elems());
+        assert_eq!(
+            report.seed_cost,
+            hierarchical::partition(&net, 4).total_comm_elems()
+        );
         assert!(report.sweeps >= 1);
     }
 
     #[test]
     fn zero_levels_is_a_trivial_fixed_point() {
         let net = view("Lenet-c", 256);
-        let plan = refine_partition(&net, 0);
+        let (plan, _) = refine_partition_reported(&net, 0);
         assert_eq!(plan.num_levels(), 0);
         assert_eq!(plan.total_comm_elems(), 0.0);
     }

@@ -1,12 +1,16 @@
 //! The [`PlanEngine`]: request resolution, strategy dispatch, caching.
+//!
+//! Every request resolves to one [`SegmentCommGraph`] — a chain network is
+//! the graph with one segment and no junction edges, a DAG its segment
+//! decomposition — and is fingerprinted, cached, planned and simulated on
+//! that one path.
 
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use hypar_comm::{NetworkCommTensors, Parallelism};
-use hypar_core::{
-    baselines, evaluate::evaluate_plan, exhaustive, hierarchical, refine, HierarchicalPlan,
-};
+use hypar_core::{baselines, exhaustive, hierarchical, HierarchicalPlan};
 use hypar_graph::{zoo as graph_zoo, DagNetwork, SegmentCommGraph};
 use hypar_models::zoo;
 use hypar_models::{ConvSpec, Layer, Network, NetworkShapes, PoolKind, PoolSpec};
@@ -15,18 +19,12 @@ use hypar_telemetry::{RegistrySnapshot, SpanRecorder};
 use hypar_tensor::FeatureDims;
 
 use crate::cache::{CacheStats, PlanCache};
-use crate::fingerprint::{fingerprint, fingerprint_dag, Fingerprint};
+use crate::fingerprint::{fingerprint_dag, Fingerprint};
 use crate::metrics::EngineMetrics;
 use crate::parallel;
 use crate::request::{
     CustomNetwork, GraphSpec, NetworkRef, PlanRequest, PlanResponse, PlanTiming, Strategy,
 };
-
-/// Upper bound on `layers × levels` for [`Strategy::Exhaustive`] — beyond
-/// this the `2^(L·H)` joint search is infeasible.  Chains and branchy
-/// DAGs share the bound (it is `hypar_core::exhaustive`'s own guard, which
-/// the graph-side joint search reuses).
-const EXHAUSTIVE_SLOT_LIMIT: usize = exhaustive::SLOT_LIMIT;
 
 /// Upper bound on the hierarchy depth a request may ask for.  `2^16`
 /// accelerators is already far beyond the paper's largest array (64) and
@@ -45,8 +43,9 @@ pub enum EngineError {
     /// The request combined options inconsistently (e.g. `explicit`
     /// without assignments, or an oversized exhaustive search).
     InvalidRequest(String),
-    /// A planner worker thread panicked; the batch degraded to
-    /// per-request errors instead of aborting the service.
+    /// A planner panicked — a `plan_many` worker thread or a segment
+    /// planner — and the request (or batch) degraded to errors instead
+    /// of aborting the service.
     WorkerPanicked,
 }
 
@@ -203,20 +202,9 @@ impl PlanEngine {
     }
 }
 
-/// The pipeline view a request resolves to: the chain pipeline for flat
-/// networks (and branch-free DAGs, which linearize into it), or the
-/// segment decomposition for branchy DAGs.
-enum Workload {
-    Chain {
-        shapes: NetworkShapes,
-        tensors: NetworkCommTensors,
-    },
-    Dag(SegmentCommGraph),
-}
-
 /// A request resolved through shape inference, ready to plan.
 struct Resolved {
-    workload: Workload,
+    graph: SegmentCommGraph,
     cfg: ArchConfig,
     strategy: Strategy,
     assignments: Option<Vec<Vec<Parallelism>>>,
@@ -233,17 +221,7 @@ impl Resolved {
                 request.levels
             )));
         }
-        let mut network = resolve_network(&request.network)?;
-        // A branch-free DAG *is* a chain: lower it so it flows through the
-        // chain pipeline (and shares its cache entries) bit-identically.
-        if let ResolvedNet::Dag(dag) = &network {
-            if dag.is_chain() {
-                let chain = dag
-                    .linearize()
-                    .map_err(|e| EngineError::InvalidNetwork(e.to_string()))?;
-                network = ResolvedNet::Chain(chain);
-            }
-        }
+        let network = resolve_network(&request.network)?;
         // `refine: true` is a modifier spelling of the refined strategy:
         // both resolve — and therefore fingerprint and cache — as
         // `Strategy::Refined`.
@@ -256,24 +234,19 @@ impl Resolved {
                 )))
             }
         };
-        let (workload, assignments) = match network {
-            ResolvedNet::Chain(chain) => {
-                let shapes = NetworkShapes::infer(&chain, request.batch)
-                    .map_err(|e| EngineError::InvalidNetwork(e.to_string()))?;
-                let tensors = NetworkCommTensors::from_shapes(&shapes);
-                let assignments = validate_strategy(request, tensors.len())?;
-                (Workload::Chain { shapes, tensors }, assignments)
-            }
-            ResolvedNet::Dag(dag) => {
-                let graph = span
-                    .time("segment_decomposition", || dag.segments(request.batch))
-                    .map_err(|e| EngineError::InvalidNetwork(e.to_string()))?;
-                let assignments = validate_strategy(request, graph.num_layers())?;
-                (Workload::Dag(graph), assignments)
-            }
+        // A branch-free DAG decomposes into the same one-segment graph as
+        // the chain it spells, so the two share a cache entry.
+        let graph = match network {
+            ResolvedNet::Chain(chain) => NetworkShapes::infer(&chain, request.batch)
+                .map(SegmentCommGraph::chain)
+                .map_err(|e| EngineError::InvalidNetwork(e.to_string()))?,
+            ResolvedNet::Dag(dag) => span
+                .time("segment_decomposition", || dag.segments(request.batch))
+                .map_err(|e| EngineError::InvalidNetwork(e.to_string()))?,
         };
+        let assignments = validate_strategy(request, graph.num_layers())?;
         Ok(Resolved {
-            workload,
+            graph,
             cfg: ArchConfig::paper().with_topology(request.topology),
             strategy,
             assignments,
@@ -283,24 +256,14 @@ impl Resolved {
     }
 
     fn fingerprint(&self) -> Fingerprint {
-        match &self.workload {
-            Workload::Chain { tensors, .. } => fingerprint(
-                tensors,
-                self.levels,
-                self.strategy,
-                self.assignments.as_deref(),
-                &self.cfg,
-                self.simulate,
-            ),
-            Workload::Dag(graph) => fingerprint_dag(
-                graph,
-                self.levels,
-                self.strategy,
-                self.assignments.as_deref(),
-                &self.cfg,
-                self.simulate,
-            ),
-        }
+        fingerprint_dag(
+            &self.graph,
+            self.levels,
+            self.strategy,
+            self.assignments.as_deref(),
+            &self.cfg,
+            self.simulate,
+        )
     }
 
     fn compute(
@@ -309,42 +272,21 @@ impl Resolved {
         span: &mut SpanRecorder,
         metrics: &EngineMetrics,
     ) -> Result<PlanResponse, EngineError> {
-        let sim_failed = |e: hypar_sim::SimError| EngineError::InvalidRequest(e.to_string());
-        let (network, batch, plan, simulation) = match &self.workload {
-            Workload::Chain { shapes, tensors } => {
-                let plan = self.run_chain_strategy(tensors, span, metrics)?;
-                let simulation = if self.simulate {
-                    metrics.sim_steps.inc();
-                    Some(
-                        span.time("simulate", || {
-                            training::simulate_step(shapes, &plan, &self.cfg)
-                        })
-                        .map_err(sim_failed)?,
-                    )
-                } else {
-                    None
-                };
-                (tensors.name().to_owned(), tensors.batch(), plan, simulation)
-            }
-            Workload::Dag(graph) => {
-                let plan = self.run_dag_strategy(graph, span, metrics)?;
-                let simulation = if self.simulate {
-                    metrics.sim_steps.inc();
-                    Some(
-                        span.time("simulate", || {
-                            training::simulate_graph_step(graph, &plan, &self.cfg)
-                        })
-                        .map_err(sim_failed)?,
-                    )
-                } else {
-                    None
-                };
-                (graph.name().to_owned(), graph.batch(), plan, simulation)
-            }
+        let plan = self.run_strategy(span, metrics)?;
+        let simulation = if self.simulate {
+            metrics.sim_steps.inc();
+            Some(
+                span.time("simulate", || {
+                    training::simulate_graph_step(&self.graph, &plan, &self.cfg)
+                })
+                .map_err(|e| EngineError::InvalidRequest(e.to_string()))?,
+            )
+        } else {
+            None
         };
         let mut response = PlanResponse {
-            network,
-            batch,
+            network: self.graph.name().to_owned(),
+            batch: self.graph.batch(),
             levels: self.levels,
             accelerators: plan.num_accelerators(),
             strategy: self.strategy,
@@ -364,64 +306,14 @@ impl Resolved {
         Ok(response)
     }
 
-    fn run_chain_strategy(
+    /// Plans the graph.  The segment-local strategies (hypar, the uniform
+    /// baselines, and refined's seed) plan every segment and stitch the
+    /// results, and `refined` then descends the whole graph; `exhaustive`
+    /// runs the whole-graph joint search and `explicit` evaluates the
+    /// supplied whole-graph assignment, both priced by the identical
+    /// stitched model.
+    fn run_strategy(
         &self,
-        net: &NetworkCommTensors,
-        span: &mut SpanRecorder,
-        metrics: &EngineMetrics,
-    ) -> Result<HierarchicalPlan, EngineError> {
-        Ok(match self.strategy {
-            Strategy::Hypar => span.time("search", || hierarchical::partition(net, self.levels)),
-            Strategy::Dp => span.time("search", || baselines::all_data(net, self.levels)),
-            Strategy::Mp => span.time("search", || baselines::all_model(net, self.levels)),
-            Strategy::Owt => span.time("search", || baselines::one_weird_trick(net, self.levels)),
-            Strategy::Refined => {
-                let (plan, report) = span.time_in("refine", |s| {
-                    let (plan, report) = refine::refine_partition_reported(net, self.levels);
-                    s.counter("sweeps", report.sweeps as u64);
-                    s.counter("flips", report.flips);
-                    (plan, report)
-                });
-                metrics.refine_sweeps.add(report.sweeps as u64);
-                metrics.refine_flips.add(report.flips);
-                plan
-            }
-            Strategy::Exhaustive => {
-                // The slot guard ran at resolution, so the candidate
-                // count (2^slots) fits comfortably in a u64.
-                let candidates = 1u64 << (net.len() * self.levels);
-                metrics.exhaustive_candidates.add(candidates);
-                let (cost, levels) = span.time_in("exhaustive", |s| {
-                    s.counter("candidates", candidates);
-                    exhaustive::best_joint(net, self.levels)
-                        .map_err(|e| EngineError::InvalidRequest(e.to_string()))
-                })?;
-                HierarchicalPlan::from_parts(net.name(), layer_names(net), levels, cost)
-            }
-            Strategy::Explicit => {
-                // Resolution guarantees assignments for the explicit
-                // strategy; keep the drift guard typed rather than a panic
-                // a service request could reach.
-                let levels = self.assignments.clone().ok_or_else(|| {
-                    EngineError::InvalidRequest(
-                        "strategy `explicit` lost its assignments during resolution".to_owned(),
-                    )
-                })?;
-                let cost = span.time("evaluate", || evaluate_plan(net, &levels).total_elems());
-                HierarchicalPlan::from_parts(net.name(), layer_names(net), levels, cost)
-            }
-        })
-    }
-
-    /// Plans a branchy DAG.  The segment-local strategies (hypar and the
-    /// uniform baselines) fan their segments across the [`parallel::map`]
-    /// pool — segments are independent until the stitch — while
-    /// `exhaustive` runs the whole-graph joint search and `explicit`
-    /// evaluates the supplied whole-graph assignment, both priced by the
-    /// identical stitched model.
-    fn run_dag_strategy(
-        &self,
-        graph: &SegmentCommGraph,
         span: &mut SpanRecorder,
         metrics: &EngineMetrics,
     ) -> Result<HierarchicalPlan, EngineError> {
@@ -429,47 +321,12 @@ impl Resolved {
         // whose own per-segment plans disagree with the graph is a bug,
         // but it costs the request an error JSON, never the process.
         let graph_failed = |e: hypar_graph::GraphError| EngineError::InvalidRequest(e.to_string());
-        // Fans the segment-local seed planning across the pool, counted
-        // and timed as one `plan_segments` span (the segments run
-        // concurrently, so per-segment child spans would overlap).
-        let plan_segments = |span: &mut SpanRecorder,
-                             plan_one: fn(&NetworkCommTensors, usize) -> HierarchicalPlan|
-         -> Result<Vec<HierarchicalPlan>, EngineError> {
-            let segments = graph.segments();
-            metrics.segments_planned.add(segments.len() as u64);
-            span.time_in("plan_segments", |s| {
-                s.counter("segments", segments.len() as u64);
-                parallel::map(segments, |segment| plan_one(segment, self.levels))
-                    .map_err(|_| EngineError::WorkerPanicked)
-            })
-        };
+        let graph = &self.graph;
         let plan_one: fn(&NetworkCommTensors, usize) -> HierarchicalPlan = match self.strategy {
-            Strategy::Hypar => hierarchical::partition,
+            Strategy::Hypar | Strategy::Refined => hierarchical::partition,
             Strategy::Dp => baselines::all_data,
             Strategy::Mp => baselines::all_model,
             Strategy::Owt => baselines::one_weird_trick,
-            Strategy::Refined => {
-                // The junction-aware pass: stitched seed, then
-                // whole-graph coordinate descent.  Segments still fan out
-                // across the pool for the seed.
-                let plans = plan_segments(span, hierarchical::partition)?;
-                let stitched = span
-                    .time("stitch", || hypar_graph::stitch(graph, &plans))
-                    .map_err(graph_failed)?;
-                let (refined, report) = span
-                    .time_in("refine", |s| {
-                        let result = hypar_graph::refine_graph_plan(graph, &stitched);
-                        if let Ok((_, report)) = &result {
-                            s.counter("sweeps", report.sweeps as u64);
-                            s.counter("flips", report.flips);
-                        }
-                        result
-                    })
-                    .map_err(graph_failed)?;
-                metrics.refine_sweeps.add(report.sweeps as u64);
-                metrics.refine_flips.add(report.flips);
-                return Ok(refined);
-            }
             Strategy::Exhaustive => {
                 // The slot guard ran at resolution, so the candidate
                 // count (2^slots) fits comfortably in a u64.
@@ -503,17 +360,53 @@ impl Resolved {
                 ));
             }
         };
-        let plans = plan_segments(span, plan_one)?;
-        span.time("stitch", || hypar_graph::stitch(graph, &plans))
-            .map_err(graph_failed)
+        let segments = graph.segments();
+        metrics.segments_planned.add(segments.len() as u64);
+        let plans = span.time_in("plan_segments", |s| {
+            s.counter("segments", segments.len() as u64);
+            plan_each(segments, self.levels, plan_one)
+        })?;
+        let stitched = span
+            .time("stitch", || hypar_graph::stitch(graph, &plans))
+            .map_err(graph_failed)?;
+        if self.strategy != Strategy::Refined {
+            return Ok(stitched);
+        }
+        // The junction-aware pass: whole-graph coordinate descent from
+        // the stitched seed.
+        let (refined, report) = span
+            .time_in("refine", |s| {
+                let result = hypar_graph::refine_graph_plan(graph, &stitched);
+                if let Ok((_, report)) = &result {
+                    s.counter("sweeps", report.sweeps as u64);
+                    s.counter("flips", report.flips);
+                }
+                result
+            })
+            .map_err(graph_failed)?;
+        metrics.refine_sweeps.add(report.sweeps as u64);
+        metrics.refine_flips.add(report.flips);
+        Ok(refined)
     }
 }
 
-fn layer_names(net: &NetworkCommTensors) -> Vec<String> {
-    net.layers().iter().map(|l| l.name.clone()).collect()
+/// Plans every segment with `plan_one`, serially (seeding one takes
+/// microseconds, less than a thread spawn); a panic becomes a typed error.
+fn plan_each(
+    segments: &[NetworkCommTensors],
+    levels: usize,
+    plan_one: fn(&NetworkCommTensors, usize) -> HierarchicalPlan,
+) -> Result<Vec<HierarchicalPlan>, EngineError> {
+    panic::catch_unwind(AssertUnwindSafe(|| {
+        segments
+            .iter()
+            .map(|segment| plan_one(segment, levels))
+            .collect()
+    }))
+    .map_err(|_| EngineError::WorkerPanicked)
 }
 
-/// All weighted layer names of a DAG, concatenated in canonical segment
+/// All weighted layer names of a graph, concatenated in canonical segment
 /// order — the layout [`hypar_graph::stitch`]ed plans use.
 fn graph_layer_names(graph: &SegmentCommGraph) -> Vec<String> {
     graph
@@ -525,9 +418,10 @@ fn graph_layer_names(graph: &SegmentCommGraph) -> Vec<String> {
 }
 
 /// Validates the strategy-specific request options against the resolved
-/// workload (shared by the chain and DAG paths): `explicit` needs parsed
-/// assignments covering every weighted layer, `exhaustive` a feasible
-/// `layers × levels` search space.
+/// workload: `explicit` needs parsed assignments covering every weighted
+/// layer, `exhaustive` a feasible `layers × levels` search space (at most
+/// [`exhaustive::SLOT_LIMIT`] slots: beyond it the `2^(L·H)` joint search
+/// is infeasible).
 fn validate_strategy(
     request: &PlanRequest,
     num_layers: usize,
@@ -536,10 +430,11 @@ fn validate_strategy(
         Strategy::Explicit => Ok(Some(parse_assignments(request, num_layers)?)),
         Strategy::Exhaustive => {
             let slots = num_layers * request.levels;
-            if slots > EXHAUSTIVE_SLOT_LIMIT {
+            if slots > exhaustive::SLOT_LIMIT {
                 return Err(EngineError::InvalidRequest(format!(
                     "exhaustive search over {slots} slots exceeds the limit of \
-                     {EXHAUSTIVE_SLOT_LIMIT} (layers x levels)"
+                     {} (layers x levels)",
+                    exhaustive::SLOT_LIMIT
                 )));
             }
             Ok(None)
@@ -756,4 +651,25 @@ fn parse_assignments(
                 .collect()
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_segment_planner_is_a_typed_error() {
+        fn boom(_: &NetworkCommTensors, _: usize) -> HierarchicalPlan {
+            panic!("segment planner bug")
+        }
+        let graph = graph_zoo::inception_mini().segments(64).unwrap();
+        // Silence the default hook: the panic below is deliberate.
+        let hook = panic::take_hook();
+        panic::set_hook(Box::new(|_| {}));
+        let result = plan_each(graph.segments(), 2, boom);
+        panic::set_hook(hook);
+        assert_eq!(result.unwrap_err(), EngineError::WorkerPanicked);
+        let plans = plan_each(graph.segments(), 2, hierarchical::partition).unwrap();
+        assert_eq!(plans.len(), graph.num_segments());
+    }
 }

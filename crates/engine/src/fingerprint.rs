@@ -4,9 +4,10 @@
 //! the network's inferred tensor sizes, the batch, the hierarchy depth,
 //! the strategy (plus explicit assignments, when given), the architecture
 //! configuration, and whether simulation was requested.  Two requests that
-//! resolve to the same workload — e.g. the zoo name `"vgg_a"` and an
-//! inline custom spec with identical layers — therefore share a cache
-//! entry, while anything that changes the answer changes the key.
+//! resolve to the same workload — e.g. the zoo name `"vgg_a"`, an inline
+//! custom spec with identical layers, and the same layers as branch-free
+//! `nodes` — therefore share a cache entry, while anything that changes
+//! the answer changes the key.
 
 use std::fmt;
 
@@ -163,15 +164,16 @@ pub fn fingerprint(
     Fingerprint(h.0)
 }
 
-/// Fingerprints a resolved *branchy DAG* workload: the segment
-/// decomposition's tensors and junction edges in place of the chain's
-/// layer list.
+/// Fingerprints a resolved workload given as a segment graph — the key of
+/// every engine request.
 ///
-/// The segment graph comes from a canonically-ordered
-/// [`hypar_graph::DagNetwork`], so the fingerprint is stable across
-/// node-insertion order; a leading marker domain-separates DAG keys from
-/// chain keys (branch-free DAGs never reach here — they linearize and
-/// share the chain fingerprint).
+/// A graph with one segment and no edges is a chain and takes the chain
+/// encoding, [`fingerprint`] of that segment, so a zoo chain, an inline
+/// `layers` chain and the same layers as branch-free `nodes` share one
+/// cache entry.  Any other graph hashes its segment tensors and junction
+/// edges behind a marker that domain-separates DAG keys from chain keys;
+/// the canonical order of [`hypar_graph::DagNetwork`] keeps the key
+/// stable across node-insertion order.
 #[must_use]
 pub fn fingerprint_dag(
     graph: &SegmentCommGraph,
@@ -181,6 +183,9 @@ pub fn fingerprint_dag(
     cfg: &ArchConfig,
     simulate: bool,
 ) -> Fingerprint {
+    if let ([segment], []) = (graph.segments(), graph.edges()) {
+        return fingerprint(segment, levels, strategy, assignments, cfg, simulate);
+    }
     let mut h = Fnv::new();
     h.str("dag");
     h.u64(graph.batch());
@@ -298,6 +303,29 @@ mod tests {
         for other in [batch, levels, strategy, topology, simulate, network] {
             assert_ne!(base, other);
         }
+    }
+
+    #[test]
+    fn a_one_segment_graph_is_keyed_as_its_chain() {
+        let shapes =
+            hypar_models::NetworkShapes::infer(&zoo::by_name("VGG-A").unwrap(), 64).unwrap();
+        let chain = fingerprint(
+            &NetworkCommTensors::from_shapes(&shapes),
+            4,
+            Strategy::Refined,
+            None,
+            &ArchConfig::paper(),
+            true,
+        );
+        let graph = fingerprint_dag(
+            &SegmentCommGraph::chain(shapes),
+            4,
+            Strategy::Refined,
+            None,
+            &ArchConfig::paper(),
+            true,
+        );
+        assert_eq!(graph, chain);
     }
 
     #[test]

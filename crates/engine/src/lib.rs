@@ -11,11 +11,13 @@
 //! * [`PlanRequest`] / [`PlanResponse`] — a serde-JSON description of a
 //!   planning workload: network (zoo name — chain or branchy —, custom
 //!   layer spec, or inline DAG node spec), batch size, hierarchy levels,
-//!   strategy (`hypar`/`dp`/`mp`/`owt`/`exhaustive`/`explicit`),
+//!   strategy (`hypar`/`dp`/`mp`/`owt`/`refined`/`exhaustive`/`explicit`),
 //!   topology, and an optional full discrete-event simulation of the
-//!   training step;  branchy DAGs are decomposed into chain segments by
-//!   `hypar-graph` and planned segment by segment with inter-segment
-//!   junction accounting;
+//!   training step;
+//! * one pipeline — every network resolves to a `hypar-graph`
+//!   `SegmentCommGraph`: a chain is the graph with one segment and no
+//!   junction edges, a DAG is decomposed into chain segments, and both are
+//!   planned segment by segment with inter-segment junction accounting;
 //! * [`PlanEngine`] — resolves requests through the pipeline, memoizing
 //!   results in an LRU [`cache::PlanCache`] keyed by a stable
 //!   [`fingerprint::Fingerprint`] of the *resolved* workload (network

@@ -35,7 +35,8 @@ pub(crate) struct EngineMetrics {
     /// `exhaustive_candidates`: joint assignments enumerated by
     /// `exhaustive` searches.
     pub exhaustive_candidates: Arc<Counter>,
-    /// `segments_planned`: chain segments planned for branchy DAGs.
+    /// `segments_planned`: segments seeded by `hypar`/`dp`/`mp`/`owt`/
+    /// `refined` plans — one per chain, one per segment of a DAG.
     pub segments_planned: Arc<Counter>,
     /// `sim_steps`: discrete-event training-step simulations run.
     pub sim_steps: Arc<Counter>,

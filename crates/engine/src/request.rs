@@ -457,8 +457,8 @@ pub(crate) fn topology_name(topology: Topology) -> &'static str {
 /// [`PlanResponse`] when the request set `trace: true`.
 ///
 /// The span tree mirrors the engine's pipeline: a `plan` root with
-/// `resolve` (network resolution, shape inference, and — for branchy
-/// DAGs — `segment_decomposition`) and `cache_lookup` children, plus,
+/// `resolve` (network resolution, shape inference, and — for DAG
+/// networks — `segment_decomposition`) and `cache_lookup` children, plus,
 /// on a cache miss, a `compute` subtree covering the strategy search
 /// (`plan_segments`/`stitch`/`refine`/`exhaustive`/…) and `simulate`.
 /// A cache hit's trace stops at the lookup — the compute subtree

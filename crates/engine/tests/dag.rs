@@ -1,6 +1,6 @@
 //! Integration tests of the DAG planning path: branchy zoo and inline
 //! graph requests end to end through the engine, cache semantics, chain
-//! linearization equivalence, and fingerprint stability.
+//! equivalence of branch-free DAGs, and fingerprint stability.
 
 #![expect(
     clippy::float_cmp,
@@ -174,14 +174,17 @@ fn chain_shaped_dag_linearizes_into_the_chain_pipeline() {
         }))
         .unwrap();
     assert_eq!(dag.fingerprint, custom.fingerprint);
-    assert!(dag.cache_hit, "linearized chain DAG must share the entry");
+    assert!(
+        dag.cache_hit,
+        "a branch-free DAG must share the chain's entry"
+    );
     assert_eq!(dag.total_comm_elems, custom.total_comm_elems);
 }
 
 #[test]
 fn chain_shaped_dag_supports_every_chain_strategy() {
-    // Linearization happens before strategy dispatch, so even exhaustive
-    // and explicit work on a branch-free DAG spec.
+    // A branch-free DAG spec is its chain's one-segment graph, so every
+    // chain strategy, exhaustive and explicit included, plans it.
     let engine = PlanEngine::new();
     let spec = GraphSpec {
         name: None,
@@ -513,8 +516,8 @@ fn refined_strategy_simulates_and_scales_past_the_exhaustive_bound() {
 
 #[test]
 fn refined_strategy_works_on_chains_too() {
-    // A chain-shaped request (zoo chain and linearized DAG alike) runs
-    // the chain refinement: never worse than Algorithm 2's plan.
+    // A chain-shaped request (zoo chain and branch-free DAG alike) refines
+    // as its one-segment graph: never worse than Algorithm 2's plan.
     let engine = PlanEngine::new();
     let base = PlanRequest::zoo("lenet_c").levels(4);
     let hypar = engine.plan(&base.clone()).unwrap();

@@ -25,11 +25,16 @@ fn traced_request_returns_a_span_tree_untraced_does_not() {
     assert_eq!(timing.trace.name, "plan");
     assert_eq!(timing.total_ns, timing.trace.duration_ns);
     let compute = timing.trace.find("compute").expect("cache-miss compute");
+    // A chain plans as the one-segment graph: it seeds its one segment
+    // and stitches it, exactly as a DAG does.
+    let plan_segments = compute.find("plan_segments").expect("plan_segments child");
+    assert_eq!(plan_segments.counter("segments"), Some(1));
     assert!(
-        compute.find("search").is_some(),
-        "chain strategies record a `search` child: {:?}",
+        compute.find("stitch").is_some(),
+        "chains record a `stitch` child: {:?}",
         timing.trace
     );
+    assert!(compute.find("search").is_none(), "{:?}", timing.trace);
     assert!(timing.trace.find("resolve").is_some());
     assert!(timing.trace.find("cache_lookup").is_some());
 }
@@ -100,6 +105,8 @@ fn metrics_snapshot_counters_are_monotone_and_consistent() {
     let first = engine.metrics_snapshot();
     assert_eq!(first.counter("requests"), Some(3));
     assert_eq!(first.counter("errors"), Some(0));
+    // Every chain request seeds exactly one segment.
+    assert_eq!(first.counter("segments_planned"), Some(3));
     assert_eq!(first.gauge("inflight"), Some(0));
     let latency = first.histogram("plan_latency_ns").expect("latency");
     assert_eq!(latency.count, 3);
@@ -111,6 +118,11 @@ fn metrics_snapshot_counters_are_monotone_and_consistent() {
     }
     let second = engine.metrics_snapshot();
     assert_eq!(second.counter("requests"), Some(6));
+    assert_eq!(
+        second.counter("segments_planned"),
+        Some(3),
+        "hits plan nothing"
+    );
     assert_eq!(
         second.histogram("plan_compute_ns").map(|h| h.count),
         first.histogram("plan_compute_ns").map(|h| h.count),

@@ -138,8 +138,8 @@ impl DagNetwork {
         (0..self.nodes.len()).all(|i| self.chain_violation(i).is_none())
     }
 
-    /// Collapses a branch-free DAG into the chain IR's [`Network`], so
-    /// chain-shaped DAGs flow through today's pipeline bit-identically.
+    /// Collapses a branch-free DAG into the chain IR's [`Network`], whose
+    /// [`crate::SegmentCommGraph::chain`] is the DAG's own decomposition.
     ///
     /// # Errors
     ///

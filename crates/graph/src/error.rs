@@ -7,7 +7,7 @@ use hypar_models::NetworkError;
 use hypar_tensor::FeatureDims;
 
 /// Errors produced while building a [`crate::DagNetwork`], inferring its
-/// shapes, or lowering it to the chain pipeline.
+/// shapes, or lowering it to the chain IR.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum GraphError {

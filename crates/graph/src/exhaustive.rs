@@ -6,17 +6,18 @@
 //! between them.  This module enumerates the full `2^{L·H}` joint space —
 //! every dp/mp choice for every weighted layer of every segment at every
 //! hierarchy level at once, with the inter-segment junctions priced by the
-//! same `inter_segment_elems` model the stitcher uses — so the stitched
+//! same model the stitcher ([`crate::stitch`]) uses — so the stitched
 //! planner's *greedy gap* can be quantified on small branchy networks the
 //! way Figures 9/10 quantify it for chains.
 //!
 //! The enumeration shares [`hypar_core::exhaustive`]'s validated
-//! [`AssignmentSpace`] and feasibility bound; for a branch-free DAG (one
-//! segment, no edges) the search — iteration order, cost arithmetic, and
-//! tie-breaking — is bit-identical to [`hypar_core::exhaustive::best_joint`]
-//! on the linearized chain (property-tested).
+//! [`AssignmentSpace`](hypar_core::exhaustive::AssignmentSpace) and
+//! feasibility bound; for a chain (one segment, no edges) the search —
+//! iteration order, cost arithmetic, and tie-breaking — is bit-identical
+//! to [`hypar_core::exhaustive::best_joint`] on that chain
+//! (property-tested), apart from the sign of a zero total at `H = 0`.
 
-use hypar_comm::{inter_elems, JunctionScaling, Parallelism};
+use hypar_comm::{inter_elems, Parallelism};
 use hypar_core::exhaustive::{assignment_from_bits, assignment_space, ExhaustiveError};
 use hypar_core::HierarchicalPlan;
 
@@ -29,8 +30,8 @@ use crate::segments::SegmentCommGraph;
 /// the same layout [`crate::stitch`] produces — and its total is directly
 /// comparable to the stitched planner's: both price intra-segment traffic
 /// with [`hypar_core::evaluate::evaluate_plan`]'s model and junctions with
-/// [`crate::inter_segment_elems`]'s.  The joint optimum is therefore a
-/// lower bound on every stitched plan's cost.
+/// [`crate::stitch`]'s.  The joint optimum is therefore a lower bound on
+/// every stitched plan's cost.
 ///
 /// Bit `h·L + l` of the enumeration is layer `l`'s choice at level `h`
 /// (LSB first, `0` = dp, `1` = mp) — for a single-segment graph this is
@@ -56,21 +57,6 @@ use crate::segments::SegmentCommGraph;
 pub fn best_joint_graph(
     graph: &SegmentCommGraph,
     num_levels: usize,
-) -> Result<HierarchicalPlan, ExhaustiveError> {
-    best_joint_graph_with(graph, num_levels, JunctionScaling::Consumer)
-}
-
-/// [`best_joint_graph`] under an explicit [`JunctionScaling`]
-/// interpretation (applied to intra-segment and inter-segment junctions
-/// alike, matching [`crate::evaluate_graph_plan_with`]).
-///
-/// # Errors
-///
-/// Same as [`best_joint_graph`].
-pub fn best_joint_graph_with(
-    graph: &SegmentCommGraph,
-    num_levels: usize,
-    mode: JunctionScaling,
 ) -> Result<HierarchicalPlan, ExhaustiveError> {
     let num_layers = graph.num_layers();
     if num_layers == 0 {
@@ -100,13 +86,9 @@ pub fn best_joint_graph_with(
     };
     // Accumulated tensor fractions per layer (reset per candidate): exact
     // powers of two, so the arithmetic matches `ScaleState` bit for bit.
+    // A junction is scaled to its consumer's scope.
     let mut bat = vec![1.0f64; num_layers];
     let mut fin = vec![1.0f64; num_layers];
-    let junction_scale = |bat: &[f64], fin: &[f64], from: usize, to: usize| match mode {
-        JunctionScaling::Consumer => bat[to] * fin[to],
-        JunctionScaling::Producer => bat[from],
-        JunctionScaling::Unscaled => 1.0,
-    };
 
     let mut best_cost = f64::INFINITY;
     let mut best_bits = 0u64;
@@ -129,12 +111,8 @@ pub fn best_joint_graph_with(
                         Parallelism::Model => 2.0 * layers[l].output_elems * bat[l],
                     };
                 }
-                #[expect(
-                    clippy::needless_range_loop,
-                    reason = "junctions index the scale scratch at both endpoints l and l + 1"
-                )]
                 for l in start..end.saturating_sub(1) {
-                    let scale = junction_scale(&bat, &fin, l, l + 1);
+                    let scale = bat[l + 1] * fin[l + 1];
                     inter_sum += inter_elems(
                         choice(bits, h, l),
                         choice(bits, h, l + 1),
@@ -145,7 +123,7 @@ pub fn best_joint_graph_with(
             }
             let mut edge_sum = 0.0;
             for &(from, to, elems) in &edges {
-                let scale = junction_scale(&bat, &fin, from, to);
+                let scale = bat[to] * fin[to];
                 edge_sum += inter_elems(choice(bits, h, from), choice(bits, h, to), elems, scale);
             }
             total += weight * (intra_sum + inter_sum) + weight * edge_sum;
@@ -179,7 +157,7 @@ mod tests {
     use super::*;
     use crate::dag::GraphBuilder;
     use crate::node::INPUT;
-    use crate::plan::{evaluate_graph_plan_with, partition_graph_with};
+    use crate::plan::{evaluate_graph_plan, partition_graph};
     use hypar_models::ConvSpec;
     use hypar_tensor::FeatureDims;
 
@@ -197,19 +175,13 @@ mod tests {
         // The scratch evaluator inside the enumeration and the public
         // whole-graph evaluator must agree on the winning plan.
         let graph = tiny_residual_graph(32);
-        for mode in [
-            JunctionScaling::Consumer,
-            JunctionScaling::Producer,
-            JunctionScaling::Unscaled,
-        ] {
-            let joint = best_joint_graph_with(&graph, 3, mode).unwrap();
-            let recomputed = evaluate_graph_plan_with(&graph, joint.levels(), mode).unwrap();
-            assert!(
-                (joint.total_comm_elems() - recomputed).abs() <= 1e-9 * recomputed.max(1.0),
-                "{mode:?}: joint {} vs evaluated {recomputed}",
-                joint.total_comm_elems()
-            );
-        }
+        let joint = best_joint_graph(&graph, 3).unwrap();
+        let recomputed = evaluate_graph_plan(&graph, joint.levels()).unwrap();
+        assert!(
+            (joint.total_comm_elems() - recomputed).abs() <= 1e-9 * recomputed.max(1.0),
+            "joint {} vs evaluated {recomputed}",
+            joint.total_comm_elems()
+        );
     }
 
     #[test]
@@ -217,9 +189,7 @@ mod tests {
         let graph = tiny_residual_graph(32);
         for levels in [1usize, 2, 4] {
             let joint = best_joint_graph(&graph, levels).unwrap().total_comm_elems();
-            let stitched = partition_graph_with(&graph, levels, JunctionScaling::Consumer)
-                .unwrap()
-                .total_comm_elems();
+            let stitched = partition_graph(&graph, levels).unwrap().total_comm_elems();
             assert!(
                 joint <= stitched * (1.0 + 1e-12),
                 "H{levels}: joint {joint} vs stitched {stitched}"

@@ -14,18 +14,21 @@
 //!   edges, and join shape mismatches are rejected as typed
 //!   [`GraphError`]s);
 //! * [`DagNetwork::linearize`] — collapses a branch-free DAG into the
-//!   chain IR's [`hypar_models::Network`], so chain-shaped DAGs flow
-//!   through today's pipeline bit-identically;
+//!   chain IR's [`hypar_models::Network`];
 //! * [`DagNetwork::segments`] — decomposes a general DAG into maximal
 //!   chain segments between joins/branch points, with per-segment
 //!   communication tensors and explicit [`SegmentEdge`]s carrying the
 //!   branch-forwarding / join-gradient-accumulation traffic;
+//!   [`SegmentCommGraph::chain`] is a chain network's one-segment graph,
+//!   which is also what a branch-free DAG decomposes into, so one
+//!   pipeline plans chains and DAGs alike;
 //! * [`partition_graph`] / [`stitch`] — plan each segment with the
 //!   unmodified [`hypar_core::hierarchical`] search and stitch the results
 //!   into one whole-model [`hypar_core::HierarchicalPlan`], pricing every
-//!   inter-segment junction with [`hypar_comm::inter_elems`] (each entry
-//!   point has a `_with` variant taking an explicit
-//!   [`hypar_comm::JunctionScaling`] interpretation);
+//!   inter-segment junction with [`hypar_comm::inter_elems`]
+//!   ([`partition_graph_with`] takes an explicit
+//!   [`hypar_comm::JunctionScaling`] interpretation, for the model
+//!   ablation);
 //! * [`exhaustive`] — the `O(2^{L·H})` **joint** brute-force baseline over
 //!   all segments and levels at once, quantifying the stitched planner's
 //!   greedy gap on small branchy networks;
@@ -72,12 +75,11 @@ pub mod zoo;
 
 pub use dag::{DagNetwork, GraphBuilder};
 pub use error::GraphError;
-pub use exhaustive::{best_joint_graph, best_joint_graph_with};
+pub use exhaustive::best_joint_graph;
 pub use node::{GraphNode, NodeOp, INPUT};
 pub use plan::{
-    evaluate_graph_plan, evaluate_graph_plan_with, inter_segment_elems, inter_segment_elems_with,
-    partition_graph, partition_graph_refined, partition_graph_refined_with, partition_graph_with,
-    plan_segments, plan_segments_with, stitch, stitch_with,
+    evaluate_graph_plan, partition_graph, partition_graph_refined, partition_graph_with,
+    plan_segments, stitch,
 };
-pub use refine::{refine_graph_plan, refine_graph_plan_with};
+pub use refine::refine_graph_plan;
 pub use segments::{SegmentCommGraph, SegmentEdge};

@@ -1,11 +1,10 @@
-//! Whole-DAG planning: per-segment partition search stitched into one
+//! Whole-graph planning: per-segment partition search stitched into one
 //! [`HierarchicalPlan`] with inter-segment communication accounting.
 //!
-//! Every entry point has a `_with` variant taking an explicit
-//! [`JunctionScaling`] interpretation; the unsuffixed functions use the
-//! consumer scope (the default throughout the workspace, see DESIGN.md
-//! §2), and the model-ablation experiment sweeps the alternatives on the
-//! DAG path exactly as it does on chains.
+//! Junctions are priced under the consumer scope
+//! ([`JunctionScaling::Consumer`]), the service's only mode; only
+//! [`partition_graph_with`] takes another [`JunctionScaling`], for the
+//! model-ablation experiment.
 //!
 //! All entry points are Result-returning: inconsistent inputs (plans
 //! missing a segment, disagreeing hierarchy depths, levels not covering
@@ -16,10 +15,10 @@ use hypar_comm::{
     inter_elems, junction_scale_between, JunctionScaling, LayerScale, NetworkCommTensors,
     Parallelism,
 };
-use hypar_core::{evaluate::evaluate_plan_with, hierarchical, HierarchicalPlan};
+use hypar_core::{evaluate::evaluate_plan, hierarchical, HierarchicalPlan};
 
 use crate::error::GraphError;
-use crate::refine::refine_graph_plan_with;
+use crate::refine::refine_graph_plan;
 use crate::segments::SegmentCommGraph;
 
 /// Runs the full HyPar partition (Algorithm 2) independently on every
@@ -27,15 +26,15 @@ use crate::segments::SegmentCommGraph;
 ///
 /// Segment-local planning is exact for the traffic Algorithm 2 models; the
 /// junction traffic *between* segments is then priced under the committed
-/// plans by [`inter_segment_elems`] and folded into the stitched total.
-/// For a branch-free DAG (one segment, no edges) the result is
-/// bit-identical to [`hierarchical::partition`] on the linearized chain.
+/// plans and folded into the stitched total ([`stitch`]).  For a chain
+/// (one segment, no edges) the result is bit-identical to
+/// [`hierarchical::partition`] on that chain.
 ///
 /// # Errors
 ///
 /// Returns [`GraphError::StitchMismatch`] if any segment has no weighted
 /// layers (impossible for a [`SegmentCommGraph`] built by
-/// [`crate::DagNetwork::segments`]).
+/// [`crate::DagNetwork::segments`] or [`SegmentCommGraph::chain`]).
 ///
 /// # Examples
 ///
@@ -52,12 +51,14 @@ pub fn partition_graph(
     graph: &SegmentCommGraph,
     num_levels: usize,
 ) -> Result<HierarchicalPlan, GraphError> {
-    partition_graph_with(graph, num_levels, JunctionScaling::Consumer)
+    plan_segments(graph, |segment| {
+        hierarchical::partition(segment, num_levels)
+    })
 }
 
-/// [`partition_graph`] under an explicit [`JunctionScaling`]
-/// interpretation, applied both inside every segment's partition search
-/// and to the inter-segment junction pricing.
+/// [`partition_graph`] under an explicit [`JunctionScaling`], applied
+/// inside every segment's search and to the junction pricing (the model
+/// ablation's DAG path).
 ///
 /// # Errors
 ///
@@ -67,9 +68,10 @@ pub fn partition_graph_with(
     num_levels: usize,
     mode: JunctionScaling,
 ) -> Result<HierarchicalPlan, GraphError> {
-    plan_segments_with(graph, mode, |segment| {
+    let plans = plan_each(graph, |segment| {
         hierarchical::partition_with(segment, num_levels, mode)
-    })
+    })?;
+    stitch_scaled(graph, &plans, mode)
 }
 
 /// The stitched plan of [`partition_graph`], improved by the
@@ -101,23 +103,8 @@ pub fn partition_graph_refined(
     graph: &SegmentCommGraph,
     num_levels: usize,
 ) -> Result<HierarchicalPlan, GraphError> {
-    partition_graph_refined_with(graph, num_levels, JunctionScaling::Consumer)
-}
-
-/// [`partition_graph_refined`] under an explicit [`JunctionScaling`]
-/// interpretation (seeding, re-decision cost, and junction pricing all
-/// follow it).
-///
-/// # Errors
-///
-/// Same as [`partition_graph`].
-pub fn partition_graph_refined_with(
-    graph: &SegmentCommGraph,
-    num_levels: usize,
-    mode: JunctionScaling,
-) -> Result<HierarchicalPlan, GraphError> {
-    let stitched = partition_graph_with(graph, num_levels, mode)?;
-    Ok(refine_graph_plan_with(graph, &stitched, mode)?.0)
+    let stitched = partition_graph(graph, num_levels)?;
+    Ok(refine_graph_plan(graph, &stitched)?.0)
 }
 
 /// Plans every segment with `plan_segment` and stitches the results; the
@@ -132,31 +119,23 @@ pub fn plan_segments(
     graph: &SegmentCommGraph,
     plan_segment: impl Fn(&NetworkCommTensors) -> HierarchicalPlan,
 ) -> Result<HierarchicalPlan, GraphError> {
-    plan_segments_with(graph, JunctionScaling::Consumer, plan_segment)
+    stitch(graph, &plan_each(graph, plan_segment)?)
 }
 
-/// [`plan_segments`] with the inter-segment junctions priced under an
-/// explicit [`JunctionScaling`] interpretation.
-///
-/// # Errors
-///
-/// Same as [`plan_segments`].
-pub fn plan_segments_with(
+/// Plans every segment with `plan_segment`, rejecting a segment without
+/// weighted layers, which no per-segment planner can plan.
+fn plan_each(
     graph: &SegmentCommGraph,
-    mode: JunctionScaling,
     plan_segment: impl Fn(&NetworkCommTensors) -> HierarchicalPlan,
-) -> Result<HierarchicalPlan, GraphError> {
-    for segment in graph.segments() {
-        if segment.is_empty() {
-            return Err(GraphError::StitchMismatch {
-                what: "weighted layers in a segment",
-                expected: 1,
-                got: 0,
-            });
-        }
+) -> Result<Vec<HierarchicalPlan>, GraphError> {
+    if graph.segments().iter().any(NetworkCommTensors::is_empty) {
+        return Err(GraphError::StitchMismatch {
+            what: "weighted layers in a segment",
+            expected: 1,
+            got: 0,
+        });
     }
-    let plans: Vec<HierarchicalPlan> = graph.segments().iter().map(plan_segment).collect();
-    stitch_with(graph, &plans, mode)
+    Ok(graph.segments().iter().map(plan_segment).collect())
 }
 
 /// Validates per-segment plans against the graph: one plan per segment,
@@ -195,8 +174,17 @@ fn check_segment_plans(
 
 /// Stitches per-segment plans into one whole-model [`HierarchicalPlan`]:
 /// layer names and per-level assignments are concatenated in segment
-/// order, and the total is the sum of the segment totals plus
-/// [`inter_segment_elems`].
+/// order, and the total is the sum of the segment totals plus the
+/// inter-segment junction traffic under the committed plans.
+///
+/// Each [`crate::SegmentEdge`] is a junction in the sense of the paper's
+/// Table 2: the producing segment's last layer hands a tensor to the
+/// consuming segment's first layer (forward), and the error flows back
+/// (backward).  At hierarchy level `h` the junction's group-pair cost is
+/// [`inter_elems`] under the two boundary layers' committed parallelisms,
+/// scaled to the consumer's scope exactly as
+/// [`hypar_comm::ScaleState::junction_scale`] scales a chain junction, and
+/// weighted by the `2^h` group pairs of that level.
 ///
 /// # Errors
 ///
@@ -207,16 +195,12 @@ pub fn stitch(
     graph: &SegmentCommGraph,
     plans: &[HierarchicalPlan],
 ) -> Result<HierarchicalPlan, GraphError> {
-    stitch_with(graph, plans, JunctionScaling::Consumer)
+    stitch_scaled(graph, plans, JunctionScaling::Consumer)
 }
 
 /// [`stitch`] with the inter-segment junctions priced under an explicit
 /// [`JunctionScaling`] interpretation.
-///
-/// # Errors
-///
-/// Same as [`stitch`].
-pub fn stitch_with(
+fn stitch_scaled(
     graph: &SegmentCommGraph,
     plans: &[HierarchicalPlan],
     mode: JunctionScaling,
@@ -239,7 +223,7 @@ pub fn stitch_with(
         .iter()
         .map(HierarchicalPlan::total_comm_elems)
         .sum::<f64>()
-        + inter_segment_elems_unchecked(graph, plans, mode);
+        + inter_segment_elems(graph, plans, mode);
     Ok(HierarchicalPlan::from_parts(
         graph.name(),
         layer_names,
@@ -248,49 +232,11 @@ pub fn stitch_with(
     ))
 }
 
-/// Array-wide inter-segment communication, in tensor elements, under the
-/// given per-segment plans.
-///
-/// Each [`crate::SegmentEdge`] is a junction in the sense of the paper's
-/// Table 2: the producing segment's last layer hands a tensor to the
-/// consuming segment's first layer (forward), and the error flows back
-/// (backward).  At hierarchy level `h` the junction's group-pair cost is
-/// [`inter_elems`] under the two boundary layers' committed parallelisms,
-/// scaled to the consumer's scope exactly as
-/// [`hypar_comm::ScaleState::junction_scale`] scales a chain junction, and
-/// weighted by the `2^h` group pairs of that level.
-///
-/// # Errors
-///
-/// Returns [`GraphError::StitchMismatch`] if `plans` does not match the
-/// graph's segments.
-pub fn inter_segment_elems(
-    graph: &SegmentCommGraph,
-    plans: &[HierarchicalPlan],
-) -> Result<f64, GraphError> {
-    inter_segment_elems_with(graph, plans, JunctionScaling::Consumer)
-}
-
-/// [`inter_segment_elems`] under an explicit [`JunctionScaling`]
-/// interpretation: the junction fraction follows the consumer's layout,
-/// the producer's layout, or stays unscaled
-/// ([`hypar_comm::junction_scale_between`]).
-///
-/// # Errors
-///
-/// Same as [`inter_segment_elems`].
-pub fn inter_segment_elems_with(
-    graph: &SegmentCommGraph,
-    plans: &[HierarchicalPlan],
-    mode: JunctionScaling,
-) -> Result<f64, GraphError> {
-    check_segment_plans(graph, plans)?;
-    Ok(inter_segment_elems_unchecked(graph, plans, mode))
-}
-
-/// The junction total, assuming [`check_segment_plans`] already passed
-/// (how [`stitch_with`] avoids validating the same plans twice).
-fn inter_segment_elems_unchecked(
+/// Array-wide inter-segment communication, in tensor elements, under
+/// per-segment plans that [`check_segment_plans`] already accepted, with
+/// the junction fraction following the consumer's layout, the producer's
+/// layout, or staying unscaled ([`junction_scale_between`]).
+fn inter_segment_elems(
     graph: &SegmentCommGraph,
     plans: &[HierarchicalPlan],
     mode: JunctionScaling,
@@ -335,22 +281,8 @@ pub fn evaluate_graph_plan(
     graph: &SegmentCommGraph,
     levels: &[Vec<Parallelism>],
 ) -> Result<f64, GraphError> {
-    evaluate_graph_plan_with(graph, levels, JunctionScaling::Consumer)
-}
-
-/// [`evaluate_graph_plan`] under an explicit [`JunctionScaling`]
-/// interpretation.
-///
-/// # Errors
-///
-/// Same as [`evaluate_graph_plan`].
-pub fn evaluate_graph_plan_with(
-    graph: &SegmentCommGraph,
-    levels: &[Vec<Parallelism>],
-    mode: JunctionScaling,
-) -> Result<f64, GraphError> {
     check_graph_levels(graph, levels)?;
-    Ok(evaluate_graph_levels_unchecked(graph, levels, mode))
+    Ok(evaluate_graph_levels_unchecked(graph, levels))
 }
 
 /// Validates that every level of a whole-graph assignment covers every
@@ -379,7 +311,6 @@ pub(crate) fn check_graph_levels(
 pub(crate) fn evaluate_graph_levels_unchecked(
     graph: &SegmentCommGraph,
     levels: &[Vec<Parallelism>],
-    mode: JunctionScaling,
 ) -> f64 {
     // Per-segment totals over the segment's slice of each level.
     let mut total = 0.0;
@@ -394,7 +325,7 @@ pub(crate) fn evaluate_graph_levels_unchecked(
             .iter()
             .map(|level| level[offset..offset + len].to_vec())
             .collect();
-        total += evaluate_plan_with(segment, &seg_levels, mode).total_elems();
+        total += evaluate_plan(segment, &seg_levels).total_elems();
         offset += len;
     }
     // Inter-segment junctions under the boundary layers' choices.
@@ -406,7 +337,8 @@ pub(crate) fn evaluate_graph_levels_unchecked(
         for (h, level) in levels.iter().enumerate() {
             let prev = level[from];
             let next = level[to];
-            let scale = junction_scale_between(producer_scale, consumer_scale, mode);
+            let scale =
+                junction_scale_between(producer_scale, consumer_scale, JunctionScaling::Consumer);
             total += (1u64 << h) as f64 * inter_elems(prev, next, edge.elems, scale);
             producer_scale = producer_scale.descend(prev);
             consumer_scale = consumer_scale.descend(next);
@@ -481,7 +413,7 @@ mod tests {
             .map(|s| hierarchical::partition(s, 3))
             .collect();
         let segment_sum: f64 = plans.iter().map(HierarchicalPlan::total_comm_elems).sum();
-        let inter = inter_segment_elems(&graph, &plans).unwrap();
+        let inter = inter_segment_elems(&graph, &plans, JunctionScaling::Consumer);
         let stitched = stitch(&graph, &plans).unwrap();
         assert_eq!(stitched.total_comm_elems(), segment_sum + inter);
         assert!(inter > 0.0, "a residual block must pay branch/join traffic");
@@ -491,19 +423,13 @@ mod tests {
     fn evaluate_graph_plan_reproduces_the_stitched_total() {
         for levels in [0usize, 2, 4] {
             let graph = tiny_residual_graph(32);
-            for mode in [
-                JunctionScaling::Consumer,
-                JunctionScaling::Producer,
-                JunctionScaling::Unscaled,
-            ] {
-                let stitched = partition_graph_with(&graph, levels, mode).unwrap();
-                let recomputed = evaluate_graph_plan_with(&graph, stitched.levels(), mode).unwrap();
-                assert!(
-                    (stitched.total_comm_elems() - recomputed).abs() <= 1e-9 * recomputed.max(1.0),
-                    "{mode:?} H{levels}: stitched {} vs evaluated {recomputed}",
-                    stitched.total_comm_elems()
-                );
-            }
+            let stitched = partition_graph(&graph, levels).unwrap();
+            let recomputed = evaluate_graph_plan(&graph, stitched.levels()).unwrap();
+            assert!(
+                (stitched.total_comm_elems() - recomputed).abs() <= 1e-9 * recomputed.max(1.0),
+                "H{levels}: stitched {} vs evaluated {recomputed}",
+                stitched.total_comm_elems()
+            );
         }
     }
 
@@ -518,9 +444,9 @@ mod tests {
             .iter()
             .map(|s| baselines::all_model(s, 3))
             .collect();
-        let consumer = inter_segment_elems_with(&graph, &plans, JunctionScaling::Consumer).unwrap();
-        let producer = inter_segment_elems_with(&graph, &plans, JunctionScaling::Producer).unwrap();
-        let unscaled = inter_segment_elems_with(&graph, &plans, JunctionScaling::Unscaled).unwrap();
+        let consumer = inter_segment_elems(&graph, &plans, JunctionScaling::Consumer);
+        let producer = inter_segment_elems(&graph, &plans, JunctionScaling::Producer);
+        let unscaled = inter_segment_elems(&graph, &plans, JunctionScaling::Unscaled);
         assert!(consumer > 0.0);
         // mp never shrinks the producer's batch, so producer scope prices
         // every level at full size — equal to unscaled, above consumer.
@@ -641,7 +567,10 @@ mod tests {
             .iter()
             .map(|s| baselines::all_data(s, 4))
             .collect();
-        assert_eq!(inter_segment_elems(&graph, &plans).unwrap(), 0.0);
+        assert_eq!(
+            inter_segment_elems(&graph, &plans, JunctionScaling::Consumer),
+            0.0
+        );
     }
 
     #[test]

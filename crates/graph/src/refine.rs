@@ -1,4 +1,4 @@
-//! Junction-aware refinement of stitched DAG plans.
+//! Junction-aware refinement of stitched plans.
 //!
 //! The segment-stitched planner ([`crate::partition_graph`]) plans every
 //! segment blind to the junction traffic between segments, and the
@@ -13,11 +13,11 @@
 //! Tofu's per-group DP recursion: seed from the stitched plan, then run
 //! [`hypar_core::refine::descend`] — coordinate descent that re-decides
 //! each layer's per-level dp/mp bit against the **true whole-graph cost**
-//! ([`crate::evaluate_graph_plan_with`]: intra-segment traffic plus
-//! junction pricing), sweeping segment-**boundary** layers first (they
-//! are the ones the stitcher priced blindly), iterating to a fixed point
-//! under strict-improvement acceptance so the cost decreases
-//! monotonically and the refined plan never exceeds the stitched one.
+//! ([`crate::evaluate_graph_plan`]: intra-segment traffic plus junction
+//! pricing), sweeping segment-**boundary** layers first (they are the
+//! ones the stitcher priced blindly), iterating to a fixed point under
+//! strict-improvement acceptance so the cost decreases monotonically and
+//! the refined plan never exceeds the stitched one.
 //!
 //! One sweep is `O(L·H)` bit re-decisions, each an `O((L + E)·H)`
 //! whole-graph evaluation, and the sweep count is capped
@@ -25,7 +25,6 @@
 //! refinement runs where the exhaustive search is a typed rejection
 //! (ResNet-18 at `H = 4` is 84 slots).
 
-use hypar_comm::JunctionScaling;
 use hypar_core::refine::{descend, DescentReport};
 use hypar_core::HierarchicalPlan;
 
@@ -33,13 +32,20 @@ use crate::error::GraphError;
 use crate::plan::{check_graph_levels, evaluate_graph_levels_unchecked};
 use crate::segments::SegmentCommGraph;
 
-/// The per-sweep layer visiting order: segment-boundary layers (each
-/// segment's first and last weighted layer — the endpoints every
-/// [`crate::SegmentEdge`] prices) first, in canonical order, then the
-/// interior layers.  Boundary bits are the ones the stitcher decided
-/// blind to junction traffic, so settling them first converges faster.
+/// The per-sweep layer visiting order.  With several segments:
+/// segment-boundary layers (each segment's first and last weighted layer
+/// — the endpoints every [`crate::SegmentEdge`] prices) first, in
+/// canonical order, then the interior layers.  Boundary bits are the ones
+/// the stitcher decided blind to junction traffic, so settling them first
+/// converges faster.  A one-segment graph (a chain) has no junctions to
+/// settle, so it is visited in natural layer order, and the descent
+/// repeats [`hypar_core::refine::refine_partition_reported`] flip for
+/// flip.
 #[must_use]
 pub fn boundary_first_order(graph: &SegmentCommGraph) -> Vec<usize> {
+    if graph.num_segments() == 1 {
+        return (0..graph.num_layers()).collect();
+    }
     let mut boundary = Vec::new();
     let mut interior = Vec::new();
     let mut offset = 0;
@@ -64,7 +70,7 @@ pub fn boundary_first_order(graph: &SegmentCommGraph) -> Vec<usize> {
 /// descent report.
 ///
 /// The refined plan's total is its levels' cost under
-/// [`crate::evaluate_graph_plan_with`] — the same model the stitcher, the
+/// [`crate::evaluate_graph_plan`] — the same model the stitcher, the
 /// joint search, and the engine's `explicit` strategy use — and is never
 /// greater than the seed plan's evaluated cost.
 ///
@@ -89,26 +95,11 @@ pub fn refine_graph_plan(
     graph: &SegmentCommGraph,
     seed: &HierarchicalPlan,
 ) -> Result<(HierarchicalPlan, DescentReport), GraphError> {
-    refine_graph_plan_with(graph, seed, JunctionScaling::Consumer)
-}
-
-/// [`refine_graph_plan`] under an explicit [`JunctionScaling`]
-/// interpretation (the re-decision cost and the reported totals follow
-/// it).
-///
-/// # Errors
-///
-/// Same as [`refine_graph_plan`].
-pub fn refine_graph_plan_with(
-    graph: &SegmentCommGraph,
-    seed: &HierarchicalPlan,
-    mode: JunctionScaling,
-) -> Result<(HierarchicalPlan, DescentReport), GraphError> {
     let mut levels = seed.levels().to_vec();
     check_graph_levels(graph, &levels)?;
     let order = boundary_first_order(graph);
     let report = descend(&mut levels, &order, |candidate| {
-        evaluate_graph_levels_unchecked(graph, candidate, mode)
+        evaluate_graph_levels_unchecked(graph, candidate)
     });
     let refined = HierarchicalPlan::from_parts(
         graph.name(),
@@ -123,11 +114,12 @@ pub fn refine_graph_plan_with(
 mod tests {
     use super::*;
     use crate::dag::GraphBuilder;
-    use crate::exhaustive::best_joint_graph_with;
+    use crate::exhaustive::best_joint_graph;
     use crate::node::INPUT;
-    use crate::plan::{evaluate_graph_plan_with, partition_graph_with};
+    use crate::plan::{evaluate_graph_plan, partition_graph};
     use crate::zoo;
-    use hypar_models::ConvSpec;
+    use hypar_core::refine::refine_partition_reported;
+    use hypar_models::{zoo as chain_zoo, ConvSpec, NetworkShapes};
     use hypar_tensor::FeatureDims;
 
     fn tiny_residual_graph(batch: u64) -> SegmentCommGraph {
@@ -138,12 +130,6 @@ mod tests {
             .fully_connected("fc", 10, "join");
         g.build().unwrap().segments(batch).unwrap()
     }
-
-    const MODES: [JunctionScaling; 3] = [
-        JunctionScaling::Consumer,
-        JunctionScaling::Producer,
-        JunctionScaling::Unscaled,
-    ];
 
     #[test]
     fn boundary_layers_come_first() {
@@ -169,38 +155,56 @@ mod tests {
     }
 
     #[test]
+    fn a_chain_is_visited_in_natural_order() {
+        let shapes = NetworkShapes::infer(&chain_zoo::vgg_a(), 64).unwrap();
+        let graph = SegmentCommGraph::chain(shapes);
+        assert_eq!(
+            boundary_first_order(&graph),
+            (0..graph.num_layers()).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn a_chain_refines_flip_for_flip_like_the_chain_pass() {
+        for name in ["SFC", "Lenet-c", "AlexNet", "VGG-A"] {
+            let shapes = NetworkShapes::infer(&chain_zoo::by_name(name).unwrap(), 256).unwrap();
+            let net = hypar_comm::NetworkCommTensors::from_shapes(&shapes);
+            let graph = SegmentCommGraph::chain(shapes);
+            for levels in [1usize, 2, 4, 8] {
+                let (chain, chain_report) = refine_partition_reported(&net, levels);
+                let stitched = partition_graph(&graph, levels).unwrap();
+                let (refined, report) = refine_graph_plan(&graph, &stitched).unwrap();
+                assert_eq!(refined, chain, "{name} H{levels}");
+                assert_eq!(report, chain_report, "{name} H{levels}");
+            }
+        }
+    }
+
+    #[test]
     fn refined_cost_is_the_evaluated_cost_of_its_levels() {
         let graph = tiny_residual_graph(32);
-        for mode in MODES {
-            let stitched = partition_graph_with(&graph, 4, mode).unwrap();
-            let (refined, report) = refine_graph_plan_with(&graph, &stitched, mode).unwrap();
-            let recomputed = evaluate_graph_plan_with(&graph, refined.levels(), mode).unwrap();
-            assert!(
-                (refined.total_comm_elems() - recomputed).abs() <= 1e-9 * recomputed.max(1.0),
-                "{mode:?}: refined {} vs evaluated {recomputed}",
-                refined.total_comm_elems()
-            );
-            assert_eq!(report.refined_cost, refined.total_comm_elems());
-            assert_eq!(report.seed_cost, stitched.total_comm_elems());
-        }
+        let stitched = partition_graph(&graph, 4).unwrap();
+        let (refined, report) = refine_graph_plan(&graph, &stitched).unwrap();
+        let recomputed = evaluate_graph_plan(&graph, refined.levels()).unwrap();
+        assert_eq!(refined.total_comm_elems(), recomputed);
+        assert_eq!(report.refined_cost, refined.total_comm_elems());
+        assert_eq!(report.seed_cost, stitched.total_comm_elems());
     }
 
     #[test]
     fn refinement_matches_the_joint_optimum_on_the_tiny_residual() {
         // Small enough to certify against the exhaustive joint search.
         let graph = tiny_residual_graph(32);
-        for mode in MODES {
-            for levels in [1usize, 2, 3, 4] {
-                let stitched = partition_graph_with(&graph, levels, mode).unwrap();
-                let (refined, _) = refine_graph_plan_with(&graph, &stitched, mode).unwrap();
-                let joint = best_joint_graph_with(&graph, levels, mode).unwrap();
-                assert!(
-                    refined.total_comm_elems() <= joint.total_comm_elems() * (1.0 + 1e-12),
-                    "{mode:?} H{levels}: refined {} vs joint {}",
-                    refined.total_comm_elems(),
-                    joint.total_comm_elems()
-                );
-            }
+        for levels in [1usize, 2, 3, 4] {
+            let stitched = partition_graph(&graph, levels).unwrap();
+            let (refined, _) = refine_graph_plan(&graph, &stitched).unwrap();
+            let joint = best_joint_graph(&graph, levels).unwrap();
+            assert!(
+                refined.total_comm_elems() <= joint.total_comm_elems() * (1.0 + 1e-12),
+                "H{levels}: refined {} vs joint {}",
+                refined.total_comm_elems(),
+                joint.total_comm_elems()
+            );
         }
     }
 
@@ -210,7 +214,7 @@ mod tests {
         // rejection, the refinement pass just runs.
         let graph = zoo::resnet18().segments(64).unwrap();
         assert!(crate::exhaustive::best_joint_graph(&graph, 4).is_err());
-        let stitched = partition_graph_with(&graph, 4, JunctionScaling::Consumer).unwrap();
+        let stitched = partition_graph(&graph, 4).unwrap();
         let (refined, report) = refine_graph_plan(&graph, &stitched).unwrap();
         assert!(refined.total_comm_elems() <= stitched.total_comm_elems());
         assert!(report.sweeps <= hypar_core::refine::MAX_SWEEPS);
@@ -239,7 +243,7 @@ mod tests {
     #[test]
     fn zero_level_seed_is_a_fixed_point() {
         let graph = tiny_residual_graph(32);
-        let stitched = partition_graph_with(&graph, 0, JunctionScaling::Consumer).unwrap();
+        let stitched = partition_graph(&graph, 0).unwrap();
         let (refined, report) = refine_graph_plan(&graph, &stitched).unwrap();
         assert_eq!(refined.num_levels(), 0);
         assert_eq!(refined.total_comm_elems(), 0.0);

@@ -60,10 +60,11 @@ pub struct SegmentEdge {
 /// chain [`NetworkCommTensors`] per segment plus the inter-segment
 /// junction edges.
 ///
-/// Produced by [`DagNetwork::segments`]; consumed by
-/// [`crate::plan::partition_graph`] and friends.  A branch-free DAG yields
-/// exactly one segment and no edges, which is why chain-shaped DAGs plan
-/// bit-identically to the chain pipeline.
+/// Produced by [`DagNetwork::segments`], or by [`SegmentCommGraph::chain`]
+/// for a chain network; consumed by [`crate::plan::partition_graph`] and
+/// friends.  A chain is the graph with one segment and no edges, and a
+/// branch-free DAG decomposes into exactly that graph, so every planner
+/// treats a chain-shaped DAG and the chain itself bit-identically.
 ///
 /// # Examples
 ///
@@ -123,6 +124,26 @@ impl StateHash for SegmentCommGraph {
 }
 
 impl SegmentCommGraph {
+    /// A chain network as the one-segment graph: its shapes and
+    /// communication tensors as the only segment, and no junction edges.
+    ///
+    /// ```
+    /// # use hypar_models::{zoo, NetworkShapes};
+    /// let graph = hypar_graph::SegmentCommGraph::chain(NetworkShapes::infer(&zoo::lenet_c(), 64)?);
+    /// assert_eq!((graph.num_segments(), graph.num_layers(), graph.edges().len()), (1, 4, 0));
+    /// # Ok::<(), hypar_models::NetworkError>(())
+    /// ```
+    #[must_use]
+    pub fn chain(shapes: NetworkShapes) -> Self {
+        SegmentCommGraph {
+            name: shapes.name().to_owned(),
+            batch: shapes.batch(),
+            segments: vec![NetworkCommTensors::from_shapes(&shapes)],
+            shapes: vec![shapes],
+            edges: Vec::new(),
+        }
+    }
+
     /// The DAG's name.
     #[must_use]
     pub fn name(&self) -> &str {
@@ -156,13 +177,6 @@ impl SegmentCommGraph {
     #[must_use]
     pub fn segment(&self, s: usize) -> &NetworkCommTensors {
         &self.segments[s]
-    }
-
-    /// The per-segment inferred shapes, aligned with
-    /// [`SegmentCommGraph::segments`].
-    #[must_use]
-    pub fn shapes(&self) -> &[NetworkShapes] {
-        &self.shapes
     }
 
     /// The inferred shapes of segment `s` (the simulator's input).
@@ -375,6 +389,27 @@ mod tests {
         assert_eq!(graph.segment(0).len(), 2);
         assert_eq!(graph.num_layers(), 2);
         assert_eq!(graph.batch(), 64);
+    }
+
+    #[test]
+    fn a_branch_free_dag_decomposes_into_its_chain_graph() {
+        let mut g = GraphBuilder::new("chain", FeatureDims::new(1, 28, 28));
+        g.conv("conv1", ConvSpec::valid(20, 5), INPUT)
+            .fully_connected("fc1", 10, "conv1");
+        let dag = g.build().unwrap();
+        let decomposed = dag.segments(64).unwrap();
+        let chain =
+            SegmentCommGraph::chain(NetworkShapes::infer(&dag.linearize().unwrap(), 64).unwrap());
+        assert_eq!(chain.name(), decomposed.name());
+        assert_eq!(chain.batch(), decomposed.batch());
+        assert_eq!(chain.edges(), decomposed.edges());
+        // Segment names differ (`chain::conv1` vs `chain`); the tensors
+        // and shapes do not.
+        assert_eq!(chain.segment(0).layers(), decomposed.segment(0).layers());
+        assert_eq!(
+            chain.segment_shapes(0).layers(),
+            decomposed.segment_shapes(0).layers()
+        );
     }
 
     #[test]

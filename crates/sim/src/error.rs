@@ -11,8 +11,8 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SimError {
-    /// The plan's weighted-layer count does not match the network's (or
-    /// the DAG segment decomposition's).
+    /// The plan's weighted-layer count does not match the network's
+    /// segment graph.
     LayerCountMismatch {
         /// Weighted layers the plan covers.
         plan_layers: usize,

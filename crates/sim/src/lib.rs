@@ -15,10 +15,10 @@
 //! * [`training`] — builds the task graph of one synchronous training step
 //!   (forward / backward / gradient / update, with model-parallel output
 //!   reductions, data-parallel gradient all-reduces, and junction
-//!   redistributions) and runs it through the engine — for chain networks
-//!   ([`training::simulate_step`]) and for branchy DAG segment
-//!   decompositions ([`training::simulate_graph_step`], with
-//!   branch-forwarding and join-gradient-accumulation junction tasks);
+//!   redistributions) and runs it through the engine — for any segment
+//!   graph ([`training::simulate_graph_step`], with branch-forwarding and
+//!   join-gradient-accumulation junction tasks at segment boundaries); a
+//!   chain is the one-segment case ([`training::simulate_step`]);
 //! * [`StepReport`] — simulated time, energy, and traffic breakdowns;
 //! * [`SimError`] — typed failures, so the planning service never panics
 //!   on inconsistent simulation inputs.

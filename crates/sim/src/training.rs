@@ -15,9 +15,10 @@
 //!   gradient partial sums before updating its replicated kernels
 //!   (Table 1).
 //!
-//! Chain networks run through [`simulate_step`].  Branchy DAGs run through
-//! [`simulate_graph_step`] on their [`SegmentCommGraph`] decomposition:
-//! every segment is the same chain schedule, and each
+//! Every network runs through [`simulate_graph_step`] on its
+//! [`SegmentCommGraph`]: a chain is the one-segment graph
+//! ([`simulate_step`] is that case), and a branchy DAG is its segment
+//! decomposition.  Every segment is the same chain schedule, and each
 //! [`hypar_graph::SegmentEdge`] junction adds **branch forwarding** tasks
 //! (the producing segment's `F` tensor fans out to each consumer before
 //! its forward pass), **join gradient accumulation** tasks (the error
@@ -25,10 +26,10 @@
 //! producing segment's backward pass), and — when
 //! [`crate::ArchConfig::join_compute`] is enabled — a **join compute**
 //! stage charging the element-wise accumulation/gather work of
-//! materializing the joined tensor.  A branch-free DAG is one segment
-//! with no edges, so its schedule — and therefore its [`StepReport`] — is
-//! bit-identical to the linearized chain's.  All junction tensors (chain
-//! and inter-segment alike) are scoped by the configured
+//! materializing the joined tensor.  A branch-free DAG decomposes into
+//! one segment with no edges, so its schedule — and therefore its
+//! [`StepReport`] — is bit-identical to the chain's.  All junction tensors
+//! (chain and inter-segment alike) are scoped by the configured
 //! [`hypar_comm::JunctionScaling`] interpretation, consumer layout by
 //! default.
 //!
@@ -62,7 +63,8 @@ use crate::pe::Mapping;
 use crate::{ArchConfig, SimError, StepReport};
 
 /// Simulates one training step of `shapes` under `plan` on the array
-/// described by `cfg`.
+/// described by `cfg`: [`simulate_graph_step`] on the chain's one-segment
+/// graph ([`SegmentCommGraph::chain`]).
 ///
 /// # Errors
 ///
@@ -91,9 +93,7 @@ pub fn simulate_step(
     plan: &HierarchicalPlan,
     cfg: &ArchConfig,
 ) -> Result<StepReport, SimError> {
-    Ok(chain_builder(shapes, plan, cfg, false, Copies::One)?
-        .run()
-        .0)
+    simulate_graph_step(&SegmentCommGraph::chain(shapes.clone()), plan, cfg)
 }
 
 /// Like [`simulate_step`], additionally returning the executed schedule as
@@ -113,22 +113,21 @@ pub fn simulate_step_traced(
     plan: &HierarchicalPlan,
     cfg: &ArchConfig,
 ) -> Result<(StepReport, String), SimError> {
-    let (report, trace) = chain_builder(shapes, plan, cfg, true, Copies::One)?.run();
-    Ok((report, trace.unwrap_or_default()))
+    simulate_graph_step_traced(&SegmentCommGraph::chain(shapes.clone()), plan, cfg)
 }
 
-/// Simulates one training step of a whole branchy DAG: the segment
-/// decomposition `graph` under the stitched whole-model `plan` (one
-/// dp/mp choice per weighted layer per level, segments concatenated in
-/// canonical order, as produced by [`hypar_graph::partition_graph`] or
+/// Simulates one training step of a whole network: its segment graph
+/// `graph` under the stitched whole-model `plan` (one dp/mp choice per
+/// weighted layer per level, segments concatenated in canonical order, as
+/// produced by [`hypar_graph::partition_graph`] or
 /// [`hypar_graph::stitch`]).
 ///
 /// Each segment executes the identical chain schedule; the inter-segment
 /// junctions add branch-forwarding `F` transfers before each consumer's
 /// forward pass and join-gradient-accumulation `E` transfers before each
 /// producer's backward pass, priced level by level exactly as
-/// [`hypar_graph::inter_segment_elems`] prices them — so the report's
-/// `comm_bytes` matches the stitched plan's analytic total.
+/// [`hypar_graph::stitch`] prices them — so the report's `comm_bytes`
+/// matches the stitched plan's analytic total.
 ///
 /// # Errors
 ///
@@ -193,35 +192,6 @@ pub fn simulate_single_accelerator(
     simulate_step(shapes, &plan, cfg)
 }
 
-/// Validates and assembles the single-segment (chain) builder.
-fn chain_builder<'a>(
-    shapes: &'a NetworkShapes,
-    plan: &HierarchicalPlan,
-    cfg: &'a ArchConfig,
-    trace: bool,
-    copies: Copies,
-) -> Result<Builder<'a>, SimError> {
-    if plan.num_layers() != shapes.len() {
-        return Err(SimError::LayerCountMismatch {
-            plan_layers: plan.num_layers(),
-            network_layers: shapes.len(),
-        });
-    }
-    let seg = Seg::new(
-        shapes,
-        NetworkCommTensors::from_shapes(shapes),
-        plan.clone(),
-    );
-    Ok(Builder::new(
-        vec![seg],
-        Vec::new(),
-        plan.num_levels(),
-        cfg,
-        trace,
-        copies,
-    ))
-}
-
 /// Validates the stitched plan against the graph, splits it back into
 /// per-segment sub-plans, and assembles the multi-segment builder.
 fn graph_builder<'a>(
@@ -250,7 +220,7 @@ fn graph_builder<'a>(
         // The sub-plan total is never read — the simulator re-derives all
         // traffic from the per-level choices.
         let sub = HierarchicalPlan::from_parts(tensors.name(), names, levels, 0.0);
-        segs.push(Seg::new(graph.segment_shapes(s), tensors.clone(), sub));
+        segs.push(Seg::new(graph.segment_shapes(s), tensors, sub));
         offset += len;
     }
     Ok(Builder::new(
@@ -267,7 +237,7 @@ fn graph_builder<'a>(
 /// network is exactly one `Seg`; a DAG is one per decomposed segment.
 struct Seg<'a> {
     shapes: &'a NetworkShapes,
-    net: NetworkCommTensors,
+    net: &'a NetworkCommTensors,
     plan: HierarchicalPlan,
     /// Scale state *above* each level (index `h`), plus the leaf state at
     /// index `H`.
@@ -275,7 +245,7 @@ struct Seg<'a> {
 }
 
 impl<'a> Seg<'a> {
-    fn new(shapes: &'a NetworkShapes, net: NetworkCommTensors, plan: HierarchicalPlan) -> Self {
+    fn new(shapes: &'a NetworkShapes, net: &'a NetworkCommTensors, plan: HierarchicalPlan) -> Self {
         let mut scales_at = Vec::with_capacity(plan.num_levels() + 1);
         let mut s = ScaleState::identity(net.len());
         scales_at.push(s.clone());
@@ -546,7 +516,7 @@ impl<'a> Builder<'a> {
     /// Schedules the level-by-level transfers of one inter-segment
     /// junction — branch forwarding (`forward`, the `F` tensor) or join
     /// gradient accumulation (backward, the `E` tensor) — pricing each
-    /// level exactly as [`hypar_graph::inter_segment_elems`] does: under
+    /// level exactly as [`hypar_graph::stitch`] does: under
     /// the committed parallelisms of the two boundary layers, scoped by
     /// the configured [`hypar_comm::JunctionScaling`] interpretation.
     /// Levels whose transfer is free (dp→dp) add no tasks.
@@ -1342,12 +1312,6 @@ mod tests {
         assert_eq!(quotient.state_hash(), full.state_hash(), "{case}");
     }
 
-    fn assert_chain_exact(shapes: &NetworkShapes, plan: &HierarchicalPlan, cfg: &ArchConfig) {
-        let quotient = simulate_step(shapes, plan, cfg).unwrap();
-        let full = run_all_copies(chain_builder(shapes, plan, cfg, false, Copies::All).unwrap());
-        assert_exact(&quotient, &full, &format!("{plan:?} {cfg:?}"));
-    }
-
     fn assert_graph_exact(graph: &SegmentCommGraph, plan: &HierarchicalPlan, cfg: &ArchConfig) {
         let quotient = simulate_graph_step(graph, plan, cfg).unwrap();
         let full = run_all_copies(graph_builder(graph, plan, cfg, false, Copies::All).unwrap());
@@ -1393,9 +1357,10 @@ mod tests {
                 baselines::all_model(&net, levels),
                 baselines::one_weird_trick(&net, levels),
             ];
+            let graph = SegmentCommGraph::chain(shapes.clone());
             for cfg in oracle_configs(false) {
                 for plan in &plans {
-                    assert_chain_exact(&shapes, plan, &cfg);
+                    assert_graph_exact(&graph, plan, &cfg);
                 }
             }
         }
@@ -1565,7 +1530,7 @@ mod tests {
                 assert_graph_exact(&graph, &plan, &cfg);
                 if dag.is_chain() {
                     let shapes = NetworkShapes::infer(&dag.linearize().unwrap(), batch).unwrap();
-                    assert_chain_exact(&shapes, &plan, &cfg);
+                    assert_graph_exact(&SegmentCommGraph::chain(shapes), &plan, &cfg);
                 }
             }
         }
