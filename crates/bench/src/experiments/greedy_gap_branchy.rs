@@ -11,7 +11,7 @@
 //! chain search uses):
 //!
 //! * **stitched** — `partition_graph`, the production greedy planner;
-//! * **refined** — `partition_graph_refined`, the polynomial
+//! * **refined** — `refine_graph_plan`, the polynomial
 //!   coordinate-descent pass seeded from the stitched plan;
 //! * **joint** — `best_joint_graph`, the exponential exhaustive optimum.
 //!
@@ -20,8 +20,8 @@
 //! typed rejection.
 
 use hypar_graph::{
-    best_joint_graph, partition_graph, partition_graph_refined, zoo, GraphBuilder,
-    SegmentCommGraph, INPUT,
+    best_joint_graph, partition_graph, refine_graph_plan, zoo, GraphBuilder, SegmentCommGraph,
+    INPUT,
 };
 use hypar_models::ConvSpec;
 use hypar_tensor::FeatureDims;
@@ -50,7 +50,8 @@ pub struct GreedyGapRow {
     pub slots: usize,
     /// Stitched greedy plan (`partition_graph`) total, in elements.
     pub stitched_elems: f64,
-    /// Refined plan (`partition_graph_refined`) total, in elements.
+    /// Refined plan (`refine_graph_plan` on the stitched plan) total, in
+    /// elements.
     pub refined_elems: f64,
     /// Joint optimum (`best_joint_graph`) total, in elements.
     pub joint_elems: f64,
@@ -174,6 +175,13 @@ fn small_zoo() -> Vec<(SegmentCommGraph, usize)> {
     ]
 }
 
+/// The stitched plan's total and its refined plan's total, in elements.
+fn stitched_and_refined(graph: &SegmentCommGraph, levels: usize) -> (f64, f64) {
+    let stitched = partition_graph(graph, levels).expect("zoo entries stitch");
+    let (refined, _) = refine_graph_plan(graph, &stitched).expect("zoo entries refine");
+    (stitched.total_comm_elems(), refined.total_comm_elems())
+}
+
 /// Runs the three-way comparison across the small-branchy zoo, plus the
 /// refined-only ResNet-18 demonstration.
 ///
@@ -187,12 +195,7 @@ pub fn run() -> GreedyGapBranchy {
     let rows = small_zoo()
         .into_iter()
         .map(|(graph, levels)| {
-            let stitched = partition_graph(&graph, levels)
-                .expect("zoo entries stitch")
-                .total_comm_elems();
-            let refined = partition_graph_refined(&graph, levels)
-                .expect("zoo entries refine")
-                .total_comm_elems();
+            let (stitched, refined) = stitched_and_refined(&graph, levels);
             let joint = best_joint_graph(&graph, levels)
                 .expect("zoo entries fit the enumeration bound")
                 .total_comm_elems();
@@ -214,12 +217,7 @@ pub fn run() -> GreedyGapBranchy {
 
     let levels = 4;
     let graph = zoo::resnet18().segments(BATCH).expect("zoo decomposes");
-    let stitched = partition_graph(&graph, levels)
-        .expect("zoo entries stitch")
-        .total_comm_elems();
-    let refined = partition_graph_refined(&graph, levels)
-        .expect("zoo entries refine")
-        .total_comm_elems();
+    let (stitched, refined) = stitched_and_refined(&graph, levels);
     let exhaustive_rejection = best_joint_graph(&graph, levels)
         .expect_err("84 slots must exceed the bound")
         .to_string();

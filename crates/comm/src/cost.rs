@@ -34,13 +34,15 @@ impl LevelCost {
     }
 }
 
-/// Evaluates the communication of one hierarchy level for `assignment`,
-/// with tensors scaled by `scales` (the choices committed at the levels
-/// above).
+/// Evaluates the communication of one group pair at one hierarchy level
+/// for `assignment`, with tensors scaled by `scales` (the choices
+/// committed at the levels above) and junctions scoped by `mode`.
 ///
-/// This is the cost function minimized by Algorithm 1; it is exposed
-/// separately so that exhaustive sweeps (Figures 9 and 10) and baseline
-/// plans cost *arbitrary* assignments under the identical model.
+/// This is the cost function minimized by Algorithm 1, itemized per layer
+/// and per junction.  It validates Algorithm 1 against brute force
+/// ([`level_cost`] is what the one-level exhaustive search minimizes) and
+/// is the definition [`crate::CostTerms::total`] is tested against: a
+/// plan's total is `Σ_h 2^h · level_cost(h)`.
 ///
 /// # Panics
 ///
@@ -50,13 +52,13 @@ impl LevelCost {
 /// # Examples
 ///
 /// ```
-/// use hypar_comm::{level_cost, NetworkCommTensors, Parallelism, ScaleState};
+/// use hypar_comm::{level_cost, JunctionScaling, NetworkCommTensors, Parallelism, ScaleState};
 /// use hypar_models::zoo;
 ///
 /// let net = NetworkCommTensors::from_network(&zoo::lenet_c(), 256)?;
 /// let scales = ScaleState::identity(net.len());
 /// let all_dp = vec![Parallelism::Data; net.len()];
-/// let cost = level_cost(&net, &scales, &all_dp);
+/// let cost = level_cost(&net, &scales, &all_dp, JunctionScaling::Consumer);
 /// // Data Parallelism: gradient exchange only, no junction traffic.
 /// assert!(cost.inter.iter().all(|&x| x == 0.0));
 /// assert_eq!(cost.total_elems(), 2.0 * 430_500.0);
@@ -64,21 +66,6 @@ impl LevelCost {
 /// ```
 #[must_use]
 pub fn level_cost(
-    net: &NetworkCommTensors,
-    scales: &ScaleState,
-    assignment: &[Parallelism],
-) -> LevelCost {
-    level_cost_with(net, scales, assignment, JunctionScaling::Consumer)
-}
-
-/// [`level_cost`] under an explicit [`JunctionScaling`] interpretation
-/// (used by the model-ablation experiment).
-///
-/// # Panics
-///
-/// Same as [`level_cost`].
-#[must_use]
-pub fn level_cost_with(
     net: &NetworkCommTensors,
     scales: &ScaleState,
     assignment: &[Parallelism],
@@ -108,7 +95,7 @@ pub fn level_cost_with(
                 assignment[l],
                 assignment[l + 1],
                 net.layer(l).junction_elems,
-                scales.junction_scale_with(l, mode),
+                scales.junction_scale(l, mode),
             )
         })
         .collect();
@@ -122,6 +109,8 @@ mod tests {
     use hypar_models::zoo;
     use Parallelism::{Data, Model};
 
+    const CONSUMER: JunctionScaling = JunctionScaling::Consumer;
+
     fn lenet() -> NetworkCommTensors {
         NetworkCommTensors::from_network(&zoo::lenet_c(), 256).unwrap()
     }
@@ -129,7 +118,7 @@ mod tests {
     #[test]
     fn all_dp_has_no_inter_traffic() {
         let net = lenet();
-        let cost = level_cost(&net, &ScaleState::identity(4), &[Data; 4]);
+        let cost = level_cost(&net, &ScaleState::identity(4), &[Data; 4], CONSUMER);
         assert!(cost.inter.iter().all(|&x| x == 0.0));
         assert_eq!(cost.intra.len(), 4);
         assert_eq!(cost.inter.len(), 3);
@@ -138,7 +127,7 @@ mod tests {
     #[test]
     fn all_mp_pays_junctions() {
         let net = lenet();
-        let cost = level_cost(&net, &ScaleState::identity(4), &[Model; 4]);
+        let cost = level_cost(&net, &ScaleState::identity(4), &[Model; 4], CONSUMER);
         assert!(cost.inter.iter().all(|&x| x > 0.0));
         // mp-mp junction costs exactly the junction tensor size.
         assert_eq!(cost.inter[0], net.layer(0).junction_elems);
@@ -148,10 +137,10 @@ mod tests {
     fn hybrid_beats_both_extremes_for_lenet() {
         let net = lenet();
         let scales = ScaleState::identity(4);
-        let dp = level_cost(&net, &scales, &[Data; 4]).total_elems();
-        let mp = level_cost(&net, &scales, &[Model; 4]).total_elems();
+        let dp = level_cost(&net, &scales, &[Data; 4], CONSUMER).total_elems();
+        let mp = level_cost(&net, &scales, &[Model; 4], CONSUMER).total_elems();
         // The Figure 9 optimum: conv dp, fc mp.
-        let hybrid = level_cost(&net, &scales, &[Data, Data, Model, Model]).total_elems();
+        let hybrid = level_cost(&net, &scales, &[Data, Data, Model, Model], CONSUMER).total_elems();
         assert!(hybrid < dp, "hybrid {hybrid} should beat dp {dp}");
         assert!(hybrid < mp, "hybrid {hybrid} should beat mp {mp}");
     }
@@ -159,7 +148,7 @@ mod tests {
     #[test]
     fn total_bytes_applies_precision() {
         let net = lenet();
-        let cost = level_cost(&net, &ScaleState::identity(4), &[Data; 4]);
+        let cost = level_cost(&net, &ScaleState::identity(4), &[Data; 4], CONSUMER);
         assert_eq!(cost.total_bytes().value(), cost.total_elems() * 4.0);
     }
 
@@ -167,7 +156,7 @@ mod tests {
     #[should_panic(expected = "assignment must cover")]
     fn wrong_assignment_length_panics() {
         let net = lenet();
-        let _ = level_cost(&net, &ScaleState::identity(4), &[Data; 3]);
+        let _ = level_cost(&net, &ScaleState::identity(4), &[Data; 3], CONSUMER);
     }
 
     #[test]
@@ -176,8 +165,8 @@ mod tests {
         let top = ScaleState::identity(4);
         let assignment = [Data, Data, Model, Model];
         let below = top.descend(&assignment);
-        let c_top = level_cost(&net, &top, &assignment).total_elems();
-        let c_below = level_cost(&net, &below, &assignment).total_elems();
+        let c_top = level_cost(&net, &top, &assignment, CONSUMER).total_elems();
+        let c_below = level_cost(&net, &below, &assignment, CONSUMER).total_elems();
         assert!(c_below < c_top);
     }
 }

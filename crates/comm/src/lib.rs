@@ -56,9 +56,11 @@ mod model;
 mod parallelism;
 mod scale;
 mod tensors;
+mod terms;
 
-pub use cost::{level_cost, level_cost_with, LevelCost};
+pub use cost::{level_cost, LevelCost};
 pub use model::{inter_bytes, inter_elems, inter_split, intra_bytes, intra_elems, PRECISION_BYTES};
 pub use parallelism::Parallelism;
 pub use scale::{junction_scale_between, JunctionScaling, LayerScale, ScaleState};
 pub use tensors::{LayerCommTensors, NetworkCommTensors};
+pub use terms::CostTerms;

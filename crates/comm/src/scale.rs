@@ -192,26 +192,15 @@ impl ScaleState {
         }
     }
 
-    /// The junction scale between layer `l` and `l+1`: the fraction of the
-    /// junction tensor a sub-group is responsible for, referenced to the
-    /// **consumer** layer's layout (see DESIGN.md §2).
+    /// The junction scale between layer `l` and `l+1` under a
+    /// [`JunctionScaling`] interpretation: the fraction of the junction
+    /// tensor a sub-group is responsible for (see DESIGN.md §2).
     ///
     /// # Panics
     ///
     /// Panics if `l + 1` is out of range.
     #[must_use]
-    pub fn junction_scale(&self, l: usize) -> f64 {
-        self.junction_scale_with(l, JunctionScaling::Consumer)
-    }
-
-    /// [`ScaleState::junction_scale`] under an explicit
-    /// [`JunctionScaling`] interpretation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l + 1` is out of range.
-    #[must_use]
-    pub fn junction_scale_with(&self, l: usize, mode: JunctionScaling) -> f64 {
+    pub fn junction_scale(&self, l: usize, mode: JunctionScaling) -> f64 {
         junction_scale_between(self.layers[l], self.layers[l + 1], mode)
     }
 }
@@ -221,7 +210,7 @@ impl ScaleState {
 /// interpretation.
 ///
 /// For adjacent chain layers this is exactly
-/// [`ScaleState::junction_scale_with`]; the DAG pipeline also prices
+/// [`ScaleState::junction_scale`]; the DAG pipeline also prices
 /// *inter-segment* junctions, where the producing and consuming layers
 /// live in different segments and carry independently accumulated scales.
 ///
@@ -295,38 +284,26 @@ mod tests {
     fn junction_scale_uses_consumer_layout() {
         let state = ScaleState::identity(2).descend(&[Parallelism::Data, Parallelism::Model]);
         // Junction 0->1 follows layer 1 (mp): feature fraction 1/2.
-        assert_eq!(state.junction_scale(0), 0.5);
+        assert_eq!(state.junction_scale(0, JunctionScaling::Consumer), 0.5);
     }
 
     #[test]
     fn junction_scaling_modes_disagree_when_layers_diverge() {
         let state = ScaleState::identity(2).descend(&[Parallelism::Data, Parallelism::Model]);
-        assert_eq!(state.junction_scale_with(0, JunctionScaling::Consumer), 0.5);
+        assert_eq!(state.junction_scale(0, JunctionScaling::Consumer), 0.5);
         // Producer (layer 0, dp): batch fraction 1/2.
-        assert_eq!(state.junction_scale_with(0, JunctionScaling::Producer), 0.5);
-        assert_eq!(state.junction_scale_with(0, JunctionScaling::Unscaled), 1.0);
+        assert_eq!(state.junction_scale(0, JunctionScaling::Producer), 0.5);
+        assert_eq!(state.junction_scale(0, JunctionScaling::Unscaled), 1.0);
         // Two levels of divergence: consumer 1/4 features, producer 1/4 batch.
         let deeper = state.descend(&[Parallelism::Data, Parallelism::Model]);
-        assert_eq!(
-            deeper.junction_scale_with(0, JunctionScaling::Consumer),
-            0.25
-        );
-        assert_eq!(
-            deeper.junction_scale_with(0, JunctionScaling::Producer),
-            0.25
-        );
+        assert_eq!(deeper.junction_scale(0, JunctionScaling::Consumer), 0.25);
+        assert_eq!(deeper.junction_scale(0, JunctionScaling::Producer), 0.25);
         // Mixed choices make them diverge.
         let mixed = ScaleState::identity(2)
             .descend(&[Parallelism::Data, Parallelism::Data])
             .descend(&[Parallelism::Data, Parallelism::Model]);
-        assert_eq!(
-            mixed.junction_scale_with(0, JunctionScaling::Producer),
-            0.25
-        );
-        assert_eq!(
-            mixed.junction_scale_with(0, JunctionScaling::Consumer),
-            0.25
-        );
+        assert_eq!(mixed.junction_scale(0, JunctionScaling::Producer), 0.25);
+        assert_eq!(mixed.junction_scale(0, JunctionScaling::Consumer), 0.25);
     }
 
     #[test]

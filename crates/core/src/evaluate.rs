@@ -1,50 +1,22 @@
 //! Costing an arbitrary hierarchical plan under the communication model.
 
-use hypar_comm::{
-    level_cost_with, JunctionScaling, LevelCost, NetworkCommTensors, Parallelism, ScaleState,
-};
+use hypar_comm::{CostTerms, JunctionScaling, NetworkCommTensors, Parallelism};
 use hypar_tensor::Bytes;
-use serde::{Deserialize, Serialize};
 
-/// The itemized cost of a hierarchical plan.
-///
-/// `per_level[h]` is the communication of one group pair at level `h`
-/// (top = 0); there are `2^h` such pairs, so the recursion
-/// `com = com_h + 2·com_n` of Algorithm 2 weights level `h` by `2^h` in
-/// [`PlanCost::total_elems`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// The total communication of a hierarchical plan: Algorithm 2's
+/// `com = com_h + 2·com_n`, where level `h` has `2^h` group pairs, summed
+/// exactly by [`CostTerms::total`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PlanCost {
-    /// Itemized cost of one group pair at each level, top first.
-    pub per_level: Vec<LevelCost>,
+    elems: u128,
 }
 
 impl PlanCost {
-    /// Communication of one group pair at level `h`, in elements.
-    #[must_use]
-    pub fn level_elems(&self, h: usize) -> f64 {
-        self.per_level[h].total_elems()
-    }
-
-    /// Total array-wide communication in elements: level `h` has `2^h`
-    /// group pairs.
+    /// Total array-wide communication in elements: the exact integer
+    /// total, rounded once to `f64`.
     #[must_use]
     pub fn total_elems(&self) -> f64 {
-        self.per_level
-            .iter()
-            .enumerate()
-            .map(|(h, c)| (1u64 << h) as f64 * c.total_elems())
-            .sum()
-    }
-
-    /// Array-wide communication per level (pair cost × pair count), in
-    /// elements.
-    #[must_use]
-    pub fn weighted_level_elems(&self) -> Vec<f64> {
-        self.per_level
-            .iter()
-            .enumerate()
-            .map(|(h, c)| (1u64 << h) as f64 * c.total_elems())
-            .collect()
+        self.elems as f64
     }
 
     /// Total array-wide communication in bytes (fp32).
@@ -94,20 +66,23 @@ pub fn evaluate_plan_with(
     levels: &[Vec<Parallelism>],
     mode: JunctionScaling,
 ) -> PlanCost {
-    let mut scales = ScaleState::identity(net.len());
-    let mut per_level = Vec::with_capacity(levels.len());
-    for assignment in levels {
-        per_level.push(level_cost_with(net, &scales, assignment, mode));
-        scales = scales.descend(assignment);
+    PlanCost {
+        elems: CostTerms::chain(net).total(levels, mode),
     }
-    PlanCost { per_level }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hypar_comm::{level_cost, ScaleState};
     use hypar_models::zoo;
     use Parallelism::{Data, Model};
+
+    const CONSUMER: JunctionScaling = JunctionScaling::Consumer;
+
+    fn view(name: &str) -> NetworkCommTensors {
+        NetworkCommTensors::from_network(&zoo::by_name(name).unwrap(), 256).unwrap()
+    }
 
     #[test]
     fn figure8_all_dp_totals_match_paper_exactly() {
@@ -115,7 +90,7 @@ mod tests {
         // SCONV 0.0121 GB, Lenet-c 0.0517 GB at B=256, H=4.
         let cases = [("SFC", 16.9), ("SCONV", 0.0121), ("Lenet-c", 0.0517)];
         for (name, gb) in cases {
-            let net = NetworkCommTensors::from_network(&zoo::by_name(name).unwrap(), 256).unwrap();
+            let net = view(name);
             let plan = vec![vec![Data; net.len()]; 4];
             let measured = evaluate_plan(&net, &plan).total_bytes().gigabytes();
             assert!(
@@ -127,42 +102,68 @@ mod tests {
 
     #[test]
     fn empty_plan_costs_nothing() {
-        let net = NetworkCommTensors::from_network(&zoo::lenet_c(), 256).unwrap();
-        let cost = evaluate_plan(&net, &[]);
+        let cost = evaluate_plan(&view("Lenet-c"), &[]);
         assert_eq!(cost.total_elems(), 0.0);
-        assert!(cost.per_level.is_empty());
+        assert!(cost.total_elems().is_sign_positive(), "a positive zero");
     }
 
     #[test]
     fn level_weighting_is_power_of_two() {
-        let net = NetworkCommTensors::from_network(&zoo::sfc(), 256).unwrap();
+        let net = view("SFC");
         let plan = vec![vec![Data; net.len()]; 3];
-        let cost = evaluate_plan(&net, &plan);
-        // dp never shrinks weights, so every level pair costs the same.
-        let per_pair = cost.level_elems(0);
-        assert_eq!(cost.level_elems(1), per_pair);
-        assert_eq!(cost.total_elems(), (1.0 + 2.0 + 4.0) * per_pair);
+        // dp never shrinks weights, so every level's pair costs the same.
+        let mut scales = ScaleState::identity(net.len());
+        let per_pair = level_cost(&net, &scales, &plan[0], CONSUMER).total_elems();
+        for level in &plan {
+            assert_eq!(
+                level_cost(&net, &scales, level, CONSUMER).total_elems(),
+                per_pair
+            );
+            scales = scales.descend(level);
+        }
         assert_eq!(
-            cost.weighted_level_elems(),
-            vec![per_pair, 2.0 * per_pair, 4.0 * per_pair]
+            evaluate_plan(&net, &plan).total_elems(),
+            (1.0 + 2.0 + 4.0) * per_pair
         );
     }
 
     #[test]
     fn mixed_plan_scales_descend_between_levels() {
-        let net = NetworkCommTensors::from_network(&zoo::lenet_c(), 256).unwrap();
+        let net = view("Lenet-c");
         let level = vec![Data, Data, Model, Model];
-        let cost = evaluate_plan(&net, &[level.clone(), level]);
+        let top = ScaleState::identity(net.len());
+        let below = top.descend(&level);
+        let first = level_cost(&net, &top, &level, CONSUMER).total_elems();
+        let second = level_cost(&net, &below, &level, CONSUMER).total_elems();
         // Same assignment, smaller tensors: the second level's pair cost
-        // must be strictly cheaper.
-        assert!(cost.level_elems(1) < cost.level_elems(0));
+        // must be strictly cheaper, and it has two pairs.
+        assert!(second < first);
+        assert_eq!(
+            evaluate_plan(&net, &[level.clone(), level]).total_elems(),
+            first + 2.0 * second
+        );
     }
 
     #[test]
     fn all_mp_junction_traffic_present() {
-        let net = NetworkCommTensors::from_network(&zoo::sfc(), 256).unwrap();
+        let net = view("SFC");
         let plan = vec![vec![Model; net.len()]; 2];
-        let cost = evaluate_plan(&net, &plan);
-        assert!(cost.per_level[0].inter.iter().all(|&x| x > 0.0));
+        let top = level_cost(&net, &ScaleState::identity(net.len()), &plan[0], CONSUMER);
+        assert!(top.inter.iter().all(|&x| x > 0.0));
+        // mp never shrinks the produced outputs, so each level's pairs
+        // exchange 2·A(F_out); the rest of the total is junction traffic.
+        let intra: f64 = top.intra.iter().sum();
+        assert!(evaluate_plan(&net, &plan).total_elems() > (1.0 + 2.0) * intra);
+    }
+
+    #[test]
+    fn totals_past_two_to_the_53_are_rounded_once() {
+        // VGG-E all-mp at batch 2^28 over 16 levels: the exact total is far
+        // above 2^53, where f64 no longer holds every integer.
+        let net = NetworkCommTensors::from_network(&zoo::vgg_e(), 1 << 28).unwrap();
+        let plan = vec![vec![Model; net.len()]; 16];
+        let exact = CostTerms::chain(&net).total(&plan, CONSUMER);
+        assert!(exact >= 1 << 53);
+        assert_eq!(evaluate_plan(&net, &plan).total_elems(), exact as f64);
     }
 }

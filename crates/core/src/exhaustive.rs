@@ -15,9 +15,9 @@
 
 use std::fmt;
 
-use hypar_comm::{level_cost, NetworkCommTensors, Parallelism, ScaleState};
-
-use crate::evaluate::evaluate_plan;
+use hypar_comm::{
+    level_cost, CostTerms, JunctionScaling, NetworkCommTensors, Parallelism, ScaleState,
+};
 
 /// Upper bound on the number of binary slots (`layers × levels`) a
 /// brute-force search may enumerate: `2^24` ≈ 16.8M candidate plans.
@@ -153,7 +153,7 @@ pub fn best_level(
     let mut best_bits = 0u64;
     for bits in assignment_space(len)? {
         let assignment = assignment_from_bits(bits, len);
-        let cost = level_cost(net, scales, &assignment).total_elems();
+        let cost = level_cost(net, scales, &assignment, JunctionScaling::Consumer).total_elems();
         if cost < best_cost {
             best_cost = cost;
             best_bits = bits;
@@ -164,7 +164,9 @@ pub fn best_level(
 
 /// Exhaustively finds the minimum-communication **joint** plan over all
 /// `num_levels` levels at once (`O(2^{L·H})`), for quantifying the greedy
-/// gap of Algorithm 2.
+/// gap of Algorithm 2.  Candidates are compared by their exact
+/// [`CostTerms::total`]; the first minimum in enumeration order wins, and
+/// its cost is returned rounded once to `f64`.
 ///
 /// # Errors
 ///
@@ -179,22 +181,23 @@ pub fn best_joint(
     if len == 0 {
         return Err(ExhaustiveError::Empty);
     }
-    let mut best_cost = f64::INFINITY;
-    let mut best_bits = 0u64;
-    for bits in assignment_space(len * num_levels)? {
-        let levels: Vec<Vec<Parallelism>> = (0..num_levels)
-            .map(|h| assignment_from_bits(bits >> (h * len), len))
-            .collect();
-        let cost = evaluate_plan(net, &levels).total_elems();
-        if cost < best_cost {
-            best_cost = cost;
-            best_bits = bits;
-        }
-    }
+    let terms = CostTerms::chain(net);
+    let mut levels = vec![vec![Parallelism::Data; len]; num_levels];
+    let (best_cost, best_bits) = assignment_space(len * num_levels)?
+        .map(|bits| {
+            for (h, level) in levels.iter_mut().enumerate() {
+                for (l, choice) in level.iter_mut().enumerate() {
+                    *choice = Parallelism::from_bit(bits >> (h * len + l) & 1 == 1);
+                }
+            }
+            (terms.total(&levels, JunctionScaling::Consumer), bits)
+        })
+        .min_by_key(|&(cost, _)| cost)
+        .unwrap_or_default();
     let levels = (0..num_levels)
         .map(|h| assignment_from_bits(best_bits >> (h * len), len))
         .collect();
-    Ok((best_cost, levels))
+    Ok((best_cost as f64, levels))
 }
 
 #[cfg(test)]

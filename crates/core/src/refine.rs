@@ -12,16 +12,15 @@
 //! termination is guaranteed (the assignment space is finite); a sweep
 //! cap bounds the worst case anyway.
 //!
-//! The pass is cost-model agnostic: callers supply the evaluator, so the
-//! same loop refines a chain against [`crate::evaluate::evaluate_plan`]
-//! ([`refine_partition_reported`]) and a segment graph — the service's
-//! one pipeline, where a chain is the one-segment case and agrees flip
-//! for flip — against `hypar_graph`'s junction-aware evaluator
-//! (`hypar_graph::refine`).  In FlexFlow terms this is a deterministic
+//! The pass is cost-model agnostic: callers supply an exact integer
+//! evaluator, so the same loop refines a chain ([`refine_partition_reported`])
+//! and a segment graph — the service's one pipeline, where a chain is the
+//! one-segment case and agrees flip for flip (`hypar_graph::refine`) —
+//! each against [`hypar_comm::CostTerms::total`].  In FlexFlow terms this is a deterministic
 //! local search over the strategy space the MCMC sampler explores; in
 //! Tofu terms, a per-group re-decision under the committed remainder.
 
-use hypar_comm::Parallelism;
+use hypar_comm::{CostTerms, JunctionScaling, Parallelism};
 use serde::Serialize;
 
 /// Hard cap on full sweeps over the plan.  Each accepted flip strictly
@@ -68,9 +67,9 @@ impl DescentReport {
 /// and simply revisit the layer within the sweep.
 ///
 /// `cost` is called with the full candidate plan and must be a pure
-/// function of it.  Strict-improvement acceptance makes the sequence of
-/// accepted costs strictly decreasing, so the returned plan never costs
-/// more than the seed.
+/// function of it.  Strict-improvement acceptance on exact integers makes
+/// the sequence of accepted costs strictly decreasing, so the returned
+/// plan never costs more than the seed; the report rounds them to `f64`.
 ///
 /// # Panics
 ///
@@ -78,7 +77,7 @@ impl DescentReport {
 pub fn descend(
     levels: &mut [Vec<Parallelism>],
     layer_order: &[usize],
-    mut cost: impl FnMut(&[Vec<Parallelism>]) -> f64,
+    mut cost: impl FnMut(&[Vec<Parallelism>]) -> u128,
 ) -> DescentReport {
     let seed_cost = cost(levels);
     let mut current = seed_cost;
@@ -108,14 +107,14 @@ pub fn descend(
     DescentReport {
         sweeps,
         flips,
-        seed_cost,
-        refined_cost: current,
+        seed_cost: seed_cost as f64,
+        refined_cost: current as f64,
     }
 }
 
 /// Algorithm 2's chain plan, refined: seeds from
 /// [`crate::hierarchical::partition`] and descends every bit, in natural
-/// layer order, against [`crate::evaluate::evaluate_plan`]'s total — the
+/// layer order, against the chain's exact [`hypar_comm::CostTerms`] — the
 /// level-by-level greedy gap of the recursion (Figures 9/10) closed by
 /// polynomial local search instead of the `O(2^{L·H})` joint enumeration.
 /// Returns the plan with the [`DescentReport`], so callers can surface
@@ -133,8 +132,9 @@ pub fn refine_partition_reported(
     let seed = crate::hierarchical::partition(net, num_levels);
     let mut levels = seed.levels().to_vec();
     let order: Vec<usize> = (0..net.len()).collect();
+    let terms = CostTerms::chain(net);
     let report = descend(&mut levels, &order, |candidate| {
-        crate::evaluate::evaluate_plan(net, candidate).total_elems()
+        terms.total(candidate, JunctionScaling::Consumer)
     });
     let plan = crate::HierarchicalPlan::from_parts(
         net.name(),
@@ -163,7 +163,10 @@ mod tests {
             let seed = hierarchical::partition(&net, levels);
             let mut bits = seed.levels().to_vec();
             let order: Vec<usize> = (0..net.len()).collect();
-            let report = descend(&mut bits, &order, |c| evaluate_plan(&net, c).total_elems());
+            let terms = CostTerms::chain(&net);
+            let report = descend(&mut bits, &order, |c| {
+                terms.total(c, JunctionScaling::Consumer)
+            });
             assert!(report.refined_cost <= report.seed_cost, "H{levels}");
             assert_eq!(report.seed_cost, seed.total_comm_elems(), "H{levels}");
             assert_eq!(

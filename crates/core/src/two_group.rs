@@ -85,7 +85,7 @@ pub fn partition_with(
             prev,
             next,
             net.layer(l).junction_elems,
-            scales.junction_scale_with(l, mode),
+            scales.junction_scale(l, mode),
         )
     };
 
@@ -145,7 +145,9 @@ mod tests {
             let net = view(&hypar_models::zoo::by_name(name).unwrap(), 256);
             let scales = ScaleState::identity(net.len());
             let result = partition(&net, &scales);
-            let recomputed = level_cost(&net, &scales, &result.assignment).total_elems();
+            let recomputed =
+                level_cost(&net, &scales, &result.assignment, JunctionScaling::Consumer)
+                    .total_elems();
             assert!(
                 (result.comm_elems - recomputed).abs() < 1e-6 * recomputed.max(1.0),
                 "{name}: DP cost {} != recomputed {recomputed}",

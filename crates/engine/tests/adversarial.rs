@@ -153,3 +153,70 @@ fn the_service_loop_survives_a_hostile_session_and_still_plans() {
     assert!(last.get("state_hash").is_some(), "{}", lines[3]);
     assert_eq!(last.get("cache_hit").and_then(Value::as_bool), Some(false));
 }
+
+/// Extents and batches whose element counts overflow `u64`, spelled as
+/// `layers` and as `nodes`: a flattened volume that wraps to zero (which
+/// `FeatureDims::new` rejects by panicking), a conv output that wraps to
+/// a `0` total, and a padding that wraps the padded extent.
+fn overflowing_lines() -> Vec<String> {
+    let cases = [
+        (
+            r#"{"channels": 4294967296, "height": 65536, "width": 65536}"#,
+            r#"{"kind": "fc", "out": 4294967296}"#,
+            r#", "batch": 4294967296"#,
+        ),
+        (
+            r#"{"channels": 3, "height": 4294967296, "width": 4294967296}"#,
+            r#"{"kind": "conv", "out": 4, "kernel": 1}"#,
+            "",
+        ),
+        (
+            r#"{"channels": 1, "height": 8, "width": 8}"#,
+            r#"{"kind": "conv", "out": 4, "kernel": 3, "padding": 9223372036854775807}"#,
+            "",
+        ),
+    ];
+    let mut lines = Vec::new();
+    for (input, layer, batch) in cases {
+        let node = layer.replacen('{', r#"{"name": "l", "#, 1);
+        for (field, spec) in [("layers", layer), ("nodes", node.as_str())] {
+            lines.push(format!(
+                r#"{{"network": {{"input": {input}, "{field}": [{spec}]}}{batch}, "levels": 2}}"#
+            ));
+        }
+    }
+    // A ladder of 64 `add(x, x)` joins reaches the classifier along 2^64
+    // paths: the junction's element count overflows.
+    let mut nodes = vec![r#"{"name": "j0", "kind": "conv", "out": 1, "kernel": 1}"#.to_owned()];
+    for i in 1..=64 {
+        let prev = format!("j{}", i - 1);
+        nodes.push(format!(
+            r#"{{"name": "j{i}", "kind": "add", "inputs": ["{prev}", "{prev}"]}}"#
+        ));
+    }
+    nodes.push(r#"{"name": "fc", "kind": "fc", "out": 2}"#.to_owned());
+    lines.push(format!(
+        r#"{{"network": {{"input": {{"channels": 1, "height": 4, "width": 4}}, "nodes": [{}]}}, "levels": 2}}"#,
+        nodes.join(", ")
+    ));
+    lines
+}
+
+#[test]
+fn overflowing_shapes_are_typed_errors_and_the_service_keeps_answering() {
+    let engine = PlanEngine::new();
+    let lines = overflowing_lines();
+    for line in &lines {
+        let message = expect_error_reply(&engine, line);
+        assert!(message.contains("64-bit overflow"), "{line}: {message}");
+    }
+    let mut input = lines.join("\n");
+    input.push_str("\n{\"network\": \"vgg_a\", \"levels\": 4}\n");
+    let mut output = Vec::new();
+    service::serve_lines(&engine, input.as_bytes(), &mut output).unwrap();
+    let text = String::from_utf8(output).unwrap();
+    let replies: Vec<&str> = text.lines().collect();
+    assert_eq!(replies.len(), lines.len() + 1, "{text}");
+    let last: Value = serde_json::from_str(replies[lines.len()]).unwrap();
+    assert!(last.get("state_hash").is_some(), "{}", replies[lines.len()]);
+}

@@ -332,3 +332,36 @@ fn thirty_layer_exhaustive_request_is_rejected_not_panicked() {
     assert_eq!(trivial.accelerators, 1);
     assert_eq!(trivial.total_comm_elems, 0.0);
 }
+
+/// Past 2^53 an f64 no longer holds every integer, so a level-by-level
+/// f64 sum rounds at each addition.  VGG-A at batch 2^28 (every count
+/// below 2^53) with layers 5.. mp at 14 levels totals about 5.4e18: the
+/// reply must carry the exact integer total rounded once, which here
+/// differs from the level-by-level f64 sum.
+#[test]
+fn totals_past_two_to_the_53_are_the_exact_total_rounded_once() {
+    use hypar_comm::{level_cost, CostTerms, JunctionScaling, NetworkCommTensors, ScaleState};
+
+    let levels = 14;
+    let request = PlanRequest::zoo("vgg_a")
+        .batch(1 << 28)
+        .levels(levels)
+        .strategy(Strategy::Explicit)
+        .assignments(vec!["00000111111".to_owned(); levels]);
+    let reply = PlanEngine::new().plan(&request).unwrap();
+
+    let net = NetworkCommTensors::from_network(&hypar_models::zoo::vgg_a(), 1 << 28).unwrap();
+    let plan = reply.plan.levels().to_vec();
+    let exact = CostTerms::chain(&net).total(&plan, JunctionScaling::Consumer);
+    assert!(exact >= 1 << 53);
+    assert_eq!(reply.total_comm_elems, exact as f64);
+
+    let mut scales = ScaleState::identity(net.len());
+    let mut level_by_level = 0.0;
+    for (h, level) in plan.iter().enumerate() {
+        let pair = level_cost(&net, &scales, level, JunctionScaling::Consumer).total_elems();
+        level_by_level += f64::from(1u32 << h) * pair;
+        scales = scales.descend(level);
+    }
+    assert_ne!(level_by_level, reply.total_comm_elems);
+}

@@ -4,16 +4,11 @@
 //! (`SegmentCommGraph::chain`).  The oracle here is the chain API — the
 //! chain planners, evaluator and simulator keyed by the chain
 //! fingerprint, the composition the service benchmark's traced pass also
-//! uses.  Every reply must equal the oracle's bit for bit, except the
-//! sign of a zero total at `levels: 0`: the chain evaluators sum an empty
-//! level list to `-0.0`, and the graph pipeline adds its (empty) junction
-//! total to answer `0`.
+//! uses.  Every reply must equal the oracle's bit for bit, at every
+//! depth: both sides price plans with the one exact evaluator, so a zero
+//! total at `levels: 0` is `+0` on both.
 
-#![expect(
-    clippy::float_cmp,
-    clippy::unwrap_used,
-    reason = "a zero total is compared exactly, whatever its sign; helpers fail by panicking"
-)]
+#![expect(clippy::unwrap_used, reason = "helpers fail by panicking")]
 
 use hypar_comm::{NetworkCommTensors, Parallelism};
 use hypar_core::refine::{refine_partition_reported, DescentReport};
@@ -99,17 +94,6 @@ fn oracle(request: &PlanRequest, name: &str) -> (PlanResponse, Option<DescentRep
             let cost = evaluate_plan(&net, &assigned).total_elems();
             HierarchicalPlan::from_parts(net.name(), names, assigned, cost)
         }
-    };
-    let plan = if levels == 0 {
-        assert_eq!(plan.total_comm_elems(), 0.0, "{name}: L0 is free");
-        HierarchicalPlan::from_parts(
-            plan.network(),
-            plan.layer_names().to_vec(),
-            plan.levels().to_vec(),
-            0.0,
-        )
-    } else {
-        plan
     };
     let simulation = request
         .simulate

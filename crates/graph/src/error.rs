@@ -76,6 +76,15 @@ pub enum GraphError {
         /// The join node.
         node: String,
     },
+    /// An element count the decomposition derives — a join's producer
+    /// multiplicity, or the batched elements of a junction edge — does
+    /// not fit in a `u64`.
+    Overflow {
+        /// The join, or the segment head consuming the edge.
+        node: String,
+        /// Which count overflowed.
+        what: &'static str,
+    },
     /// The graph has more than one sink (unconsumed node).
     MultipleSinks {
         /// The sink node names, in canonical order.
@@ -160,6 +169,9 @@ impl fmt::Display for GraphError {
             ),
             Self::ChannelOverflow { node } => {
                 write!(f, "concat `{node}`: summed channel count overflows")
+            }
+            Self::Overflow { node, what } => {
+                write!(f, "node `{node}`: 64-bit overflow in {what}")
             }
             Self::MultipleSinks { sinks } => write!(
                 f,

@@ -13,14 +13,15 @@
 //! The enumeration shares [`hypar_core::exhaustive`]'s validated
 //! [`AssignmentSpace`](hypar_core::exhaustive::AssignmentSpace) and
 //! feasibility bound; for a chain (one segment, no edges) the search —
-//! iteration order, cost arithmetic, and tie-breaking — is bit-identical
-//! to [`hypar_core::exhaustive::best_joint`] on that chain
-//! (property-tested), apart from the sign of a zero total at `H = 0`.
+//! iteration order, cost, and tie-breaking — is bit-identical to
+//! [`hypar_core::exhaustive::best_joint`] on that chain
+//! (property-tested).
 
-use hypar_comm::{inter_elems, Parallelism};
+use hypar_comm::{JunctionScaling, Parallelism};
 use hypar_core::exhaustive::{assignment_from_bits, assignment_space, ExhaustiveError};
 use hypar_core::HierarchicalPlan;
 
+use crate::plan::cost_terms;
 use crate::segments::SegmentCommGraph;
 
 /// Exhaustively finds the minimum-communication **joint** plan over all
@@ -28,10 +29,10 @@ use crate::segments::SegmentCommGraph;
 ///
 /// The returned plan concatenates the layers in canonical segment order —
 /// the same layout [`crate::stitch`] produces — and its total is directly
-/// comparable to the stitched planner's: both price intra-segment traffic
-/// with [`hypar_core::evaluate::evaluate_plan`]'s model and junctions with
-/// [`crate::stitch`]'s.  The joint optimum is therefore a lower bound on
-/// every stitched plan's cost.
+/// comparable to the stitched planner's: candidates are compared by the
+/// exact total [`crate::evaluate_graph_plan`] rounds, the first minimum
+/// in enumeration order wins.  The joint optimum is therefore a lower
+/// bound on every stitched plan's cost.
 ///
 /// Bit `h·L + l` of the enumeration is layer `l`'s choice at level `h`
 /// (LSB first, `0` = dp, `1` = mp) — for a single-segment graph this is
@@ -63,92 +64,34 @@ pub fn best_joint_graph(
         return Err(ExhaustiveError::Empty);
     }
     let space = assignment_space(num_layers * num_levels)?;
-
-    // Flattened views so the inner loop is allocation-free: per-layer
-    // tensors in canonical segment order, segment ranges, and edges
-    // resolved to global boundary-layer indices.
-    let layers: Vec<&hypar_comm::LayerCommTensors> =
-        graph.segments().iter().flat_map(|s| s.layers()).collect();
-    let mut ranges = Vec::with_capacity(graph.num_segments());
-    let mut offset = 0;
-    for segment in graph.segments() {
-        ranges.push((offset, offset + segment.len()));
-        offset += segment.len();
-    }
-    let edges: Vec<(usize, usize, f64)> = graph
-        .edges()
-        .iter()
-        .map(|e| (ranges[e.from].1 - 1, ranges[e.to].0, e.elems))
-        .collect();
-
-    let choice = |bits: u64, h: usize, l: usize| -> Parallelism {
-        Parallelism::from_bit(bits >> (h * num_layers + l) & 1 == 1)
-    };
-    // Accumulated tensor fractions per layer (reset per candidate): exact
-    // powers of two, so the arithmetic matches `ScaleState` bit for bit.
-    // A junction is scaled to its consumer's scope.
-    let mut bat = vec![1.0f64; num_layers];
-    let mut fin = vec![1.0f64; num_layers];
-
-    let mut best_cost = f64::INFINITY;
-    let mut best_bits = 0u64;
-    for bits in space {
-        bat.fill(1.0);
-        fin.fill(1.0);
-        let mut total = 0.0;
-        for h in 0..num_levels {
-            let weight = (1u64 << h) as f64;
-            // Intra-layer and intra-segment junction terms, in the exact
-            // accumulation order of `evaluate_plan` (intra sum then inter
-            // sum per level) so single-segment costs are bit-identical to
-            // the chain search's.
-            let mut intra_sum = 0.0;
-            let mut inter_sum = 0.0;
-            for &(start, end) in &ranges {
-                for l in start..end {
-                    intra_sum += match choice(bits, h, l) {
-                        Parallelism::Data => 2.0 * layers[l].weight_elems * fin[l],
-                        Parallelism::Model => 2.0 * layers[l].output_elems * bat[l],
-                    };
-                }
-                for l in start..end.saturating_sub(1) {
-                    let scale = bat[l + 1] * fin[l + 1];
-                    inter_sum += inter_elems(
-                        choice(bits, h, l),
-                        choice(bits, h, l + 1),
-                        layers[l].junction_elems,
-                        scale,
-                    );
+    let terms = cost_terms(graph);
+    let mut levels = vec![vec![Parallelism::Data; num_layers]; num_levels];
+    let (best_cost, best_bits) = space
+        .map(|bits| {
+            for (h, level) in levels.iter_mut().enumerate() {
+                for (l, choice) in level.iter_mut().enumerate() {
+                    *choice = Parallelism::from_bit(bits >> (h * num_layers + l) & 1 == 1);
                 }
             }
-            let mut edge_sum = 0.0;
-            for &(from, to, elems) in &edges {
-                let scale = bat[to] * fin[to];
-                edge_sum += inter_elems(choice(bits, h, from), choice(bits, h, to), elems, scale);
-            }
-            total += weight * (intra_sum + inter_sum) + weight * edge_sum;
-            for l in 0..num_layers {
-                match choice(bits, h, l) {
-                    Parallelism::Data => bat[l] *= 0.5,
-                    Parallelism::Model => fin[l] *= 0.5,
-                }
-            }
-        }
-        if total < best_cost {
-            best_cost = total;
-            best_bits = bits;
-        }
-    }
+            (terms.total(&levels, JunctionScaling::Consumer), bits)
+        })
+        .min_by_key(|&(cost, _)| cost)
+        .unwrap_or_default();
 
     let levels: Vec<Vec<Parallelism>> = (0..num_levels)
         .map(|h| assignment_from_bits(best_bits >> (h * num_layers), num_layers))
         .collect();
-    let names = layers.iter().map(|l| l.name.clone()).collect();
+    let names = graph
+        .segments()
+        .iter()
+        .flat_map(|s| s.layers())
+        .map(|l| l.name.clone())
+        .collect();
     Ok(HierarchicalPlan::from_parts(
         graph.name(),
         names,
         levels,
-        best_cost,
+        best_cost as f64,
     ))
 }
 
@@ -172,16 +115,12 @@ mod tests {
 
     #[test]
     fn joint_cost_matches_evaluate_graph_plan() {
-        // The scratch evaluator inside the enumeration and the public
-        // whole-graph evaluator must agree on the winning plan.
+        // The enumeration and the public whole-graph evaluator must agree
+        // on the winning plan.
         let graph = tiny_residual_graph(32);
         let joint = best_joint_graph(&graph, 3).unwrap();
         let recomputed = evaluate_graph_plan(&graph, joint.levels()).unwrap();
-        assert!(
-            (joint.total_comm_elems() - recomputed).abs() <= 1e-9 * recomputed.max(1.0),
-            "joint {} vs evaluated {recomputed}",
-            joint.total_comm_elems()
-        );
+        assert_eq!(joint.total_comm_elems(), recomputed);
     }
 
     #[test]

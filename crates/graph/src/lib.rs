@@ -25,15 +25,15 @@
 //! * [`partition_graph`] / [`stitch`] — plan each segment with the
 //!   unmodified [`hypar_core::hierarchical`] search and stitch the results
 //!   into one whole-model [`hypar_core::HierarchicalPlan`], pricing every
-//!   inter-segment junction with [`hypar_comm::inter_elems`]
-//!   ([`partition_graph_with`] takes an explicit
-//!   [`hypar_comm::JunctionScaling`] interpretation, for the model
-//!   ablation);
+//!   inter-segment junction like a chain junction with the one exact
+//!   evaluator, [`hypar_comm::CostTerms`] ([`partition_graph_with`] takes
+//!   an explicit [`hypar_comm::JunctionScaling`] interpretation, for the
+//!   model ablation);
 //! * [`exhaustive`] — the `O(2^{L·H})` **joint** brute-force baseline over
 //!   all segments and levels at once, quantifying the stitched planner's
 //!   greedy gap on small branchy networks;
 //! * [`refine`] — the junction-aware coordinate-descent pass
-//!   ([`partition_graph_refined`]) that closes most of that gap
+//!   ([`refine_graph_plan`]) that closes most of that gap
 //!   polynomially: seeds from the stitched plan and re-decides each bit
 //!   against the true whole-graph cost, boundary layers first, to a
 //!   strict-improvement fixed point;
@@ -77,9 +77,6 @@ pub use dag::{DagNetwork, GraphBuilder};
 pub use error::GraphError;
 pub use exhaustive::best_joint_graph;
 pub use node::{GraphNode, NodeOp, INPUT};
-pub use plan::{
-    evaluate_graph_plan, partition_graph, partition_graph_refined, partition_graph_with,
-    plan_segments, stitch,
-};
+pub use plan::{evaluate_graph_plan, partition_graph, partition_graph_with, plan_segments, stitch};
 pub use refine::refine_graph_plan;
 pub use segments::{SegmentCommGraph, SegmentEdge};

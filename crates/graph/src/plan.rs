@@ -11,14 +11,10 @@
 //! the graph) surface as [`GraphError::StitchMismatch`] values, never
 //! panics — the planning service feeds this path from untrusted input.
 
-use hypar_comm::{
-    inter_elems, junction_scale_between, JunctionScaling, LayerScale, NetworkCommTensors,
-    Parallelism,
-};
-use hypar_core::{evaluate::evaluate_plan, hierarchical, HierarchicalPlan};
+use hypar_comm::{CostTerms, JunctionScaling, NetworkCommTensors, Parallelism};
+use hypar_core::{hierarchical, HierarchicalPlan};
 
 use crate::error::GraphError;
-use crate::refine::refine_graph_plan;
 use crate::segments::SegmentCommGraph;
 
 /// Runs the full HyPar partition (Algorithm 2) independently on every
@@ -72,39 +68,6 @@ pub fn partition_graph_with(
         hierarchical::partition_with(segment, num_levels, mode)
     })?;
     stitch_scaled(graph, &plans, mode)
-}
-
-/// The stitched plan of [`partition_graph`], improved by the
-/// junction-aware coordinate-descent pass of [`crate::refine`]: each
-/// layer's per-level bit is re-decided against the **whole-graph** cost
-/// (intra-segment traffic plus junction pricing), segment-boundary layers
-/// first, to a strict-improvement fixed point.  The refined plan never
-/// costs more than the stitched one and closes most of the stitcher's
-/// measured greedy gap — see the `greedy_gap_branchy` experiment —
-/// while staying polynomial (no `L·H ≤ 24` slot limit, unlike
-/// [`crate::exhaustive::best_joint_graph`]).
-///
-/// # Errors
-///
-/// Same as [`partition_graph`].
-///
-/// # Examples
-///
-/// ```
-/// use hypar_graph::{partition_graph, partition_graph_refined, zoo};
-///
-/// let graph = zoo::resnet18().segments(64)?;   // 84 slots: joint search infeasible
-/// let stitched = partition_graph(&graph, 4)?;
-/// let refined = partition_graph_refined(&graph, 4)?;
-/// assert!(refined.total_comm_elems() <= stitched.total_comm_elems());
-/// # Ok::<(), hypar_graph::GraphError>(())
-/// ```
-pub fn partition_graph_refined(
-    graph: &SegmentCommGraph,
-    num_levels: usize,
-) -> Result<HierarchicalPlan, GraphError> {
-    let stitched = partition_graph(graph, num_levels)?;
-    Ok(refine_graph_plan(graph, &stitched)?.0)
 }
 
 /// Plans every segment with `plan_segment` and stitches the results; the
@@ -174,17 +137,15 @@ fn check_segment_plans(
 
 /// Stitches per-segment plans into one whole-model [`HierarchicalPlan`]:
 /// layer names and per-level assignments are concatenated in segment
-/// order, and the total is the sum of the segment totals plus the
-/// inter-segment junction traffic under the committed plans.
+/// order, and the total is the concatenated levels' cost under
+/// [`evaluate_graph_plan`]'s model: each segment's own traffic plus the
+/// inter-segment junction traffic.
 ///
 /// Each [`crate::SegmentEdge`] is a junction in the sense of the paper's
 /// Table 2: the producing segment's last layer hands a tensor to the
 /// consuming segment's first layer (forward), and the error flows back
-/// (backward).  At hierarchy level `h` the junction's group-pair cost is
-/// [`inter_elems`] under the two boundary layers' committed parallelisms,
-/// scaled to the consumer's scope exactly as
-/// [`hypar_comm::ScaleState::junction_scale`] scales a chain junction, and
-/// weighted by the `2^h` group pairs of that level.
+/// (backward).  It is priced exactly like a chain junction between those
+/// two layers ([`hypar_comm::CostTerms`]).
 ///
 /// # Errors
 ///
@@ -198,7 +159,7 @@ pub fn stitch(
     stitch_scaled(graph, plans, JunctionScaling::Consumer)
 }
 
-/// [`stitch`] with the inter-segment junctions priced under an explicit
+/// [`stitch`] with every junction priced under an explicit
 /// [`JunctionScaling`] interpretation.
 fn stitch_scaled(
     graph: &SegmentCommGraph,
@@ -219,11 +180,7 @@ fn stitch_scaled(
                 .collect()
         })
         .collect();
-    let total = plans
-        .iter()
-        .map(HierarchicalPlan::total_comm_elems)
-        .sum::<f64>()
-        + inter_segment_elems(graph, plans, mode);
+    let total = cost_terms(graph).total(&levels, mode) as f64;
     Ok(HierarchicalPlan::from_parts(
         graph.name(),
         layer_names,
@@ -232,40 +189,31 @@ fn stitch_scaled(
     ))
 }
 
-/// Array-wide inter-segment communication, in tensor elements, under
-/// per-segment plans that [`check_segment_plans`] already accepted, with
-/// the junction fraction following the consumer's layout, the producer's
-/// layout, or staying unscaled ([`junction_scale_between`]).
-fn inter_segment_elems(
-    graph: &SegmentCommGraph,
-    plans: &[HierarchicalPlan],
-    mode: JunctionScaling,
-) -> f64 {
-    let mut total = 0.0;
-    for edge in graph.edges() {
-        let producer = &plans[edge.from];
-        let consumer = &plans[edge.to];
-        let last = producer.num_layers() - 1;
-        let mut producer_scale = LayerScale::IDENTITY;
-        let mut consumer_scale = LayerScale::IDENTITY;
-        for h in 0..consumer.num_levels() {
-            let prev = producer.choice(h, last);
-            let next = consumer.choice(h, 0);
-            let scale = junction_scale_between(producer_scale, consumer_scale, mode);
-            let pair = inter_elems(prev, next, edge.elems, scale);
-            total += (1u64 << h) as f64 * pair;
-            producer_scale = producer_scale.descend(prev);
-            consumer_scale = consumer_scale.descend(next);
-        }
+/// The cost terms of a whole graph: every segment's layers and chain
+/// junctions in canonical segment order, plus one pair per
+/// [`crate::SegmentEdge`] from the producing segment's last layer to the
+/// consuming segment's first layer.
+pub(crate) fn cost_terms(graph: &SegmentCommGraph) -> CostTerms {
+    let mut terms = CostTerms::default();
+    let mut first_layer = Vec::with_capacity(graph.num_segments());
+    let mut offset = 0;
+    for segment in graph.segments() {
+        first_layer.push(offset);
+        terms.push_chain(segment);
+        offset += segment.len();
     }
-    total
+    for edge in graph.edges() {
+        let last = first_layer[edge.from] + graph.segment(edge.from).len() - 1;
+        terms.push_pair(last, first_layer[edge.to], edge.elems);
+    }
+    terms
 }
 
 /// Costs an **arbitrary** whole-graph assignment (`levels[h][l]`, top
 /// level first, layers concatenated in canonical segment order) under the
-/// identical model [`stitch`] uses: per-segment
-/// [`hypar_core::evaluate::evaluate_plan`] totals plus the inter-segment
-/// junction pricing.
+/// identical model [`stitch`] uses: every segment's chain cost plus the
+/// inter-segment junction pricing, summed exactly by
+/// [`hypar_comm::CostTerms::total`] and rounded once to `f64`.
 ///
 /// This is how the engine's `explicit` strategy, the joint exhaustive
 /// search ([`crate::exhaustive::best_joint_graph`]), and the refinement
@@ -282,7 +230,7 @@ pub fn evaluate_graph_plan(
     levels: &[Vec<Parallelism>],
 ) -> Result<f64, GraphError> {
     check_graph_levels(graph, levels)?;
-    Ok(evaluate_graph_levels_unchecked(graph, levels))
+    Ok(cost_terms(graph).total(levels, JunctionScaling::Consumer) as f64)
 }
 
 /// Validates that every level of a whole-graph assignment covers every
@@ -304,55 +252,14 @@ pub(crate) fn check_graph_levels(
     Ok(())
 }
 
-/// The cost of a whole-graph assignment, assuming [`check_graph_levels`]
-/// already passed.  The refinement pass's inner loop evaluates thousands
-/// of candidates that differ from a validated plan by one bit, so it
-/// skips re-validation.
-pub(crate) fn evaluate_graph_levels_unchecked(
-    graph: &SegmentCommGraph,
-    levels: &[Vec<Parallelism>],
-) -> f64 {
-    // Per-segment totals over the segment's slice of each level.
-    let mut total = 0.0;
-    let mut offset = 0;
-    let mut first_layer = Vec::with_capacity(graph.num_segments());
-    let mut last_layer = Vec::with_capacity(graph.num_segments());
-    for segment in graph.segments() {
-        let len = segment.len();
-        first_layer.push(offset);
-        last_layer.push(offset + len - 1);
-        let seg_levels: Vec<Vec<Parallelism>> = levels
-            .iter()
-            .map(|level| level[offset..offset + len].to_vec())
-            .collect();
-        total += evaluate_plan(segment, &seg_levels).total_elems();
-        offset += len;
-    }
-    // Inter-segment junctions under the boundary layers' choices.
-    for edge in graph.edges() {
-        let from = last_layer[edge.from];
-        let to = first_layer[edge.to];
-        let mut producer_scale = LayerScale::IDENTITY;
-        let mut consumer_scale = LayerScale::IDENTITY;
-        for (h, level) in levels.iter().enumerate() {
-            let prev = level[from];
-            let next = level[to];
-            let scale =
-                junction_scale_between(producer_scale, consumer_scale, JunctionScaling::Consumer);
-            total += (1u64 << h) as f64 * inter_elems(prev, next, edge.elems, scale);
-            producer_scale = producer_scale.descend(prev);
-            consumer_scale = consumer_scale.descend(next);
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dag::GraphBuilder;
     use crate::node::INPUT;
-    use hypar_core::baselines;
+    use crate::refine::refine_graph_plan;
+    use hypar_comm::{inter_elems, junction_scale_between, LayerScale};
+    use hypar_core::{baselines, evaluate::evaluate_plan_with};
     use hypar_models::ConvSpec;
     use hypar_tensor::FeatureDims;
 
@@ -363,6 +270,47 @@ mod tests {
             .add("join", &["stem", "body"])
             .fully_connected("fc", 10, "join");
         g.build().unwrap().segments(batch).unwrap()
+    }
+
+    /// The inter-segment traffic of per-segment plans, written out from
+    /// the scales: at level `h`, `2^h` pairs each pay `inter_elems` with
+    /// the junction scoped by `mode`.
+    fn edge_elems_oracle(
+        graph: &SegmentCommGraph,
+        plans: &[HierarchicalPlan],
+        mode: JunctionScaling,
+    ) -> f64 {
+        let mut total = 0.0;
+        for edge in graph.edges() {
+            let producer = &plans[edge.from];
+            let consumer = &plans[edge.to];
+            let last = producer.num_layers() - 1;
+            let mut producer_scale = LayerScale::IDENTITY;
+            let mut consumer_scale = LayerScale::IDENTITY;
+            for h in 0..consumer.num_levels() {
+                let prev = producer.choice(h, last);
+                let next = consumer.choice(h, 0);
+                let scale = junction_scale_between(producer_scale, consumer_scale, mode);
+                total += f64::from(1u32 << h) * inter_elems(prev, next, edge.elems, scale);
+                producer_scale = producer_scale.descend(prev);
+                consumer_scale = consumer_scale.descend(next);
+            }
+        }
+        total
+    }
+
+    /// The segments' own traffic under `mode`.
+    fn segment_elems(
+        graph: &SegmentCommGraph,
+        plans: &[HierarchicalPlan],
+        mode: JunctionScaling,
+    ) -> f64 {
+        graph
+            .segments()
+            .iter()
+            .zip(plans)
+            .map(|(segment, plan)| evaluate_plan_with(segment, plan.levels(), mode).total_elems())
+            .sum()
     }
 
     #[test]
@@ -413,7 +361,7 @@ mod tests {
             .map(|s| hierarchical::partition(s, 3))
             .collect();
         let segment_sum: f64 = plans.iter().map(HierarchicalPlan::total_comm_elems).sum();
-        let inter = inter_segment_elems(&graph, &plans, JunctionScaling::Consumer);
+        let inter = edge_elems_oracle(&graph, &plans, JunctionScaling::Consumer);
         let stitched = stitch(&graph, &plans).unwrap();
         assert_eq!(stitched.total_comm_elems(), segment_sum + inter);
         assert!(inter > 0.0, "a residual block must pay branch/join traffic");
@@ -425,11 +373,7 @@ mod tests {
             let graph = tiny_residual_graph(32);
             let stitched = partition_graph(&graph, levels).unwrap();
             let recomputed = evaluate_graph_plan(&graph, stitched.levels()).unwrap();
-            assert!(
-                (stitched.total_comm_elems() - recomputed).abs() <= 1e-9 * recomputed.max(1.0),
-                "H{levels}: stitched {} vs evaluated {recomputed}",
-                stitched.total_comm_elems()
-            );
+            assert_eq!(stitched.total_comm_elems(), recomputed, "H{levels}");
         }
     }
 
@@ -444,9 +388,17 @@ mod tests {
             .iter()
             .map(|s| baselines::all_model(s, 3))
             .collect();
-        let consumer = inter_segment_elems(&graph, &plans, JunctionScaling::Consumer);
-        let producer = inter_segment_elems(&graph, &plans, JunctionScaling::Producer);
-        let unscaled = inter_segment_elems(&graph, &plans, JunctionScaling::Unscaled);
+        let inter = |mode| {
+            let stitched = stitch_scaled(&graph, &plans, mode)
+                .unwrap()
+                .total_comm_elems();
+            let inter = stitched - segment_elems(&graph, &plans, mode);
+            assert_eq!(inter, edge_elems_oracle(&graph, &plans, mode), "{mode:?}");
+            inter
+        };
+        let consumer = inter(JunctionScaling::Consumer);
+        let producer = inter(JunctionScaling::Producer);
+        let unscaled = inter(JunctionScaling::Unscaled);
         assert!(consumer > 0.0);
         // mp never shrinks the producer's batch, so producer scope prices
         // every level at full size — equal to unscaled, above consumer.
@@ -568,8 +520,12 @@ mod tests {
             .map(|s| baselines::all_data(s, 4))
             .collect();
         assert_eq!(
-            inter_segment_elems(&graph, &plans, JunctionScaling::Consumer),
+            edge_elems_oracle(&graph, &plans, JunctionScaling::Consumer),
             0.0
+        );
+        assert_eq!(
+            stitch(&graph, &plans).unwrap().total_comm_elems(),
+            segment_elems(&graph, &plans, JunctionScaling::Consumer)
         );
     }
 
@@ -578,7 +534,7 @@ mod tests {
         for levels in [1usize, 2, 4] {
             let graph = tiny_residual_graph(32);
             let stitched = partition_graph(&graph, levels).unwrap();
-            let refined = partition_graph_refined(&graph, levels).unwrap();
+            let (refined, _) = refine_graph_plan(&graph, &stitched).unwrap();
             assert!(
                 refined.total_comm_elems() <= stitched.total_comm_elems(),
                 "H{levels}: refined {} vs stitched {}",

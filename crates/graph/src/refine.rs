@@ -20,16 +20,18 @@
 //! the refined plan never exceeds the stitched one.
 //!
 //! One sweep is `O(L·H)` bit re-decisions, each an `O((L + E)·H)`
-//! whole-graph evaluation, and the sweep count is capped
+//! integer evaluation of the whole graph's cost terms, built once per
+//! pass, and the sweep count is capped
 //! ([`hypar_core::refine::MAX_SWEEPS`]) — polynomial throughout, so
 //! refinement runs where the exhaustive search is a typed rejection
 //! (ResNet-18 at `H = 4` is 84 slots).
 
+use hypar_comm::JunctionScaling;
 use hypar_core::refine::{descend, DescentReport};
 use hypar_core::HierarchicalPlan;
 
 use crate::error::GraphError;
-use crate::plan::{check_graph_levels, evaluate_graph_levels_unchecked};
+use crate::plan::{check_graph_levels, cost_terms};
 use crate::segments::SegmentCommGraph;
 
 /// The per-sweep layer visiting order.  With several segments:
@@ -98,8 +100,9 @@ pub fn refine_graph_plan(
     let mut levels = seed.levels().to_vec();
     check_graph_levels(graph, &levels)?;
     let order = boundary_first_order(graph);
+    let terms = cost_terms(graph);
     let report = descend(&mut levels, &order, |candidate| {
-        evaluate_graph_levels_unchecked(graph, candidate)
+        terms.total(candidate, JunctionScaling::Consumer)
     });
     let refined = HierarchicalPlan::from_parts(
         graph.name(),

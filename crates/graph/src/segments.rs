@@ -217,7 +217,8 @@ impl DagNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::ZeroBatch`] for a zero batch size.
+    /// Returns [`GraphError::ZeroBatch`] for a zero batch size, and a
+    /// typed error when a count overflows `u64` or shapes misfit.
     pub fn segments(&self, batch: u64) -> Result<SegmentCommGraph, GraphError> {
         if batch == 0 {
             return Err(GraphError::ZeroBatch);
@@ -295,12 +296,22 @@ impl DagNetwork {
         // `concat(x, x)` joins has exponentially many paths but only one
         // producer — which matters because the engine feeds this from
         // untrusted service input.
-        let mut join_producers: Vec<Option<BTreeMap<Option<usize>, f64>>> = vec![None; nodes.len()];
+        let mut join_producers: Vec<Option<BTreeMap<Option<usize>, u64>>> = vec![None; nodes.len()];
         for i in 0..nodes.len() {
             if !nodes[i].op().is_join() {
                 continue;
             }
-            let mut producers: BTreeMap<Option<usize>, f64> = BTreeMap::new();
+            let mut producers: BTreeMap<Option<usize>, u64> = BTreeMap::new();
+            let mut add = |source: Option<usize>, mult: u64| {
+                let total = producers.entry(source).or_insert(0);
+                *total = total
+                    .checked_add(mult)
+                    .ok_or_else(|| GraphError::Overflow {
+                        node: nodes[i].name().to_owned(),
+                        what: "join path multiplicity",
+                    })?;
+                Ok::<(), GraphError>(())
+            };
             for r in self.resolved_inputs(i) {
                 match r {
                     Some(p) if nodes[*p].op().is_join() => {
@@ -312,10 +323,10 @@ impl DagNetwork {
                             continue;
                         };
                         for (&source, &mult) in inner {
-                            *producers.entry(source).or_insert(0.0) += mult;
+                            add(source, mult)?;
                         }
                     }
-                    other => *producers.entry(*other).or_insert(0.0) += 1.0,
+                    other => add(*other, 1)?,
                 }
             }
             join_producers[i] = Some(producers);
@@ -325,9 +336,15 @@ impl DagNetwork {
         // down to the producing layers (graph-input edges are free).
         let mut edges = Vec::new();
         for (s, run) in members.iter().enumerate() {
-            let mut push = |p: Option<usize>, mult: f64, via_join: bool| {
+            let mut push = |p: Option<usize>, mult: u64, via_join: bool| {
                 if let Some(p) = p {
-                    let elems = mult * (batch * self.node_output(p).volume()) as f64;
+                    let elems = batch
+                        .checked_mul(self.node_output(p).volume())
+                        .and_then(|e| e.checked_mul(mult))
+                        .ok_or_else(|| GraphError::Overflow {
+                            node: nodes[run[0]].name().to_owned(),
+                            what: "batched junction elements",
+                        })? as f64;
                     edges.push(SegmentEdge {
                         from: seg_of[p],
                         to: s,
@@ -335,6 +352,7 @@ impl DagNetwork {
                         join_elems: if via_join { elems } else { 0.0 },
                     });
                 }
+                Ok::<(), GraphError>(())
             };
             match self.resolved_inputs(run[0])[0] {
                 Some(j) if nodes[j].op().is_join() => {
@@ -345,10 +363,10 @@ impl DagNetwork {
                         continue;
                     };
                     for (&source, &mult) in producers {
-                        push(source, mult, true);
+                        push(source, mult, true)?;
                     }
                 }
-                direct => push(direct, 1.0, false),
+                direct => push(direct, 1, false)?,
             }
         }
 
@@ -482,6 +500,34 @@ mod tests {
         assert_eq!(into_out[0].elems, 2.0 * branch); // a, twice via mix
         assert_eq!(into_out[1].elems, 2.0 * branch); // b, twice via mix
         assert_eq!(into_out[2].elems, 2.0 * branch); // c once: 8 channels
+    }
+
+    #[test]
+    fn counts_past_u64_are_typed_errors() {
+        // A ladder of `add(x, x)` joins reaches `out` along 2^depth paths.
+        let ladder = |depth: usize| {
+            let mut g = GraphBuilder::new("ladder", FeatureDims::new(1, 4, 4));
+            g.conv("stem", ConvSpec::same(1, 1), INPUT);
+            let mut prev = "stem".to_owned();
+            for i in 0..depth {
+                let name = format!("j{i}");
+                g.add(&name, &[&prev, &prev]);
+                prev = name;
+            }
+            g.fully_connected("out", 1, &prev);
+            g.build().unwrap()
+        };
+        let what = |result: Result<SegmentCommGraph, GraphError>| match result {
+            Err(GraphError::Overflow { what, .. }) => what,
+            other => panic!("expected an overflow, got {other:?}"),
+        };
+        assert_eq!(what(ladder(64).segments(1)), "join path multiplicity");
+        // 2^40 paths x 2^30 samples x 16 elements.
+        assert_eq!(
+            what(ladder(40).segments(1 << 30)),
+            "batched junction elements"
+        );
+        assert!(ladder(40).segments(1).is_ok());
     }
 
     #[test]

@@ -1,0 +1,177 @@
+//! The one exact evaluator on segment graphs, against the level-by-level
+//! definition.
+//!
+//! The oracle is Algorithm 2's sum written out: at level `h`, `2^h` times
+//! each segment's one-pair [`level_cost`] over [`ScaleState::descend`],
+//! plus every inter-segment edge priced with [`inter_elems`] at the
+//! junction fraction [`junction_scale_between`] gives.  The evaluator
+//! ([`CostTerms::total`], reached through [`evaluate_graph_plan`], the
+//! stitcher and the ablation's [`partition_graph_with`]) must equal it on
+//! random residual blocks and the branchy zoo, in every junction mode,
+//! at H0–16 and batches 1–4,300.
+
+#![expect(
+    clippy::float_cmp,
+    clippy::unwrap_used,
+    reason = "totals are compared exactly; helpers fail by panicking"
+)]
+
+mod common;
+
+use common::arb_tiny_residual;
+use hypar_comm::{
+    inter_elems, junction_scale_between, level_cost, CostTerms, JunctionScaling, LayerScale,
+    Parallelism, ScaleState,
+};
+use hypar_graph::{evaluate_graph_plan, partition_graph_with, zoo, SegmentCommGraph};
+use proptest::prelude::*;
+
+const MODES: [JunctionScaling; 3] = [
+    JunctionScaling::Consumer,
+    JunctionScaling::Producer,
+    JunctionScaling::Unscaled,
+];
+
+/// The level-by-level definition of a whole-graph plan's total.
+fn oracle(graph: &SegmentCommGraph, levels: &[Vec<Parallelism>], mode: JunctionScaling) -> f64 {
+    let mut total = 0.0;
+    let mut first = Vec::new();
+    let mut offset = 0;
+    for segment in graph.segments() {
+        first.push(offset);
+        let mut scales = ScaleState::identity(segment.len());
+        for (h, level) in levels.iter().enumerate() {
+            let slice = &level[offset..offset + segment.len()];
+            total += f64::from(1u32 << h) * level_cost(segment, &scales, slice, mode).total_elems();
+            scales = scales.descend(slice);
+        }
+        offset += segment.len();
+    }
+    for edge in graph.edges() {
+        let from = first[edge.from] + graph.segment(edge.from).len() - 1;
+        let to = first[edge.to];
+        let (mut producer, mut consumer) = (LayerScale::IDENTITY, LayerScale::IDENTITY);
+        for (h, level) in levels.iter().enumerate() {
+            let scale = junction_scale_between(producer, consumer, mode);
+            total += f64::from(1u32 << h) * inter_elems(level[from], level[to], edge.elems, scale);
+            producer = producer.descend(level[from]);
+            consumer = consumer.descend(level[to]);
+        }
+    }
+    total
+}
+
+/// The graph's terms, built from its public parts.
+fn terms(graph: &SegmentCommGraph) -> CostTerms {
+    let mut terms = CostTerms::default();
+    let mut first = Vec::new();
+    let mut offset = 0;
+    for segment in graph.segments() {
+        first.push(offset);
+        terms.push_chain(segment);
+        offset += segment.len();
+    }
+    for edge in graph.edges() {
+        let last = first[edge.from] + graph.segment(edge.from).len() - 1;
+        terms.push_pair(last, first[edge.to], edge.elems);
+    }
+    terms
+}
+
+/// The Consumer closed form, `Σ_l 2W(2^k − 1) + 2O(2^(H−k) − 1) +
+/// Σ_e J(H − b)`, over the graph's layers, chain junctions and edges.
+fn closed_form(graph: &SegmentCommGraph, levels: &[Vec<Parallelism>]) -> f64 {
+    let depth = levels.len();
+    let both_dp = |a: usize, b: usize| {
+        levels
+            .iter()
+            .filter(|level| level[a] == Parallelism::Data && level[b] == Parallelism::Data)
+            .count()
+    };
+    let pow = |k: usize| f64::from(1u32 << k);
+    let mut total = 0.0;
+    let mut first = Vec::new();
+    let mut offset = 0;
+    for segment in graph.segments() {
+        first.push(offset);
+        for (i, layer) in segment.layers().iter().enumerate() {
+            let l = offset + i;
+            let k = both_dp(l, l);
+            total += 2.0 * layer.weight_elems * (pow(k) - 1.0);
+            total += 2.0 * layer.output_elems * (pow(depth - k) - 1.0);
+            if i + 1 < segment.len() {
+                total += layer.junction_elems * (depth - both_dp(l, l + 1)) as f64;
+            }
+        }
+        offset += segment.len();
+    }
+    for edge in graph.edges() {
+        let from = first[edge.from] + graph.segment(edge.from).len() - 1;
+        total += edge.elems * (depth - both_dp(from, first[edge.to])) as f64;
+    }
+    total
+}
+
+/// A seeded random plan over `depth` levels (xorshift64).
+fn random_plan(layers: usize, depth: usize, seed: u64) -> Vec<Vec<Parallelism>> {
+    let mut state = seed | 1;
+    (0..depth)
+        .map(|_| {
+            (0..layers)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    Parallelism::from_bit(state & 1 == 1)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Every check of this file on one graph, depth and seed.
+fn check(graph: &SegmentCommGraph, depth: usize, seed: u64) {
+    let plan = random_plan(graph.num_layers(), depth, seed);
+    let terms = terms(graph);
+    for mode in MODES {
+        let exact = terms.total(&plan, mode);
+        assert_eq!(exact as f64, oracle(graph, &plan, mode), "{mode:?}");
+        // The ablation's stitched plan, priced by the production path.
+        let stitched = partition_graph_with(graph, depth, mode).unwrap();
+        assert_eq!(
+            stitched.total_comm_elems(),
+            oracle(graph, stitched.levels(), mode),
+            "stitched {mode:?}"
+        );
+    }
+    let consumer = oracle(graph, &plan, JunctionScaling::Consumer);
+    assert_eq!(evaluate_graph_plan(graph, &plan).unwrap(), consumer);
+    assert_eq!(closed_form(graph, &plan), consumer);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random residual blocks, random plans.
+    #[test]
+    fn random_residual_blocks_match_the_definition(
+        spec in arb_tiny_residual(),
+        batch in 1u64..4301,
+        depth in 0usize..17,
+        seed in any::<u64>(),
+    ) {
+        check(&spec.graph(batch), depth, seed);
+    }
+
+    /// The branchy zoo, random plans.
+    #[test]
+    fn the_branchy_zoo_matches_the_definition(
+        index in 0usize..zoo::NAMES.len(),
+        batch in 1u64..4301,
+        depth in 0usize..17,
+        seed in any::<u64>(),
+    ) {
+        let graph = zoo::by_name(zoo::NAMES[index]).unwrap().segments(batch).unwrap();
+        check(&graph, depth, seed);
+    }
+}

@@ -18,10 +18,12 @@
     reason = "assertions compare exact values; helpers fail by panicking"
 )]
 
+mod common;
+
+use common::arb_tiny_residual;
 use hypar_comm::NetworkCommTensors;
 use hypar_core::exhaustive;
-use hypar_graph::{best_joint_graph, partition_graph, GraphBuilder, SegmentCommGraph, INPUT};
-use hypar_models::ConvSpec;
+use hypar_graph::{best_joint_graph, partition_graph, GraphBuilder, INPUT};
 use hypar_tensor::FeatureDims;
 use proptest::prelude::*;
 
@@ -48,53 +50,6 @@ impl TinyChain {
 fn arb_tiny_chain() -> impl Strategy<Value = TinyChain> {
     (1u64..128, proptest::collection::vec(1u64..128, 1..4))
         .prop_map(|(in_features, fcs)| TinyChain { in_features, fcs })
-}
-
-/// A randomly drawn tiny residual block: stem -> body (1 or 2 convs),
-/// `add`-joined with the stem (or a 1x1 projection), into a classifier.
-#[derive(Clone, Debug)]
-struct TinyResidual {
-    channels: u64,
-    two_convs: bool,
-    projection: bool,
-    out: u64,
-}
-
-impl TinyResidual {
-    fn graph(&self, batch: u64) -> SegmentCommGraph {
-        let mut g = GraphBuilder::new("tiny-res", FeatureDims::new(self.channels, 8, 8));
-        g.conv("stem", ConvSpec::same(self.channels, 3), INPUT);
-        g.conv("body_a", ConvSpec::same(self.channels, 3), "stem");
-        let tail = if self.two_convs {
-            g.conv("body_b", ConvSpec::same(self.channels, 3), "body_a");
-            "body_b"
-        } else {
-            "body_a"
-        };
-        let skip = if self.projection {
-            g.conv("proj", ConvSpec::same(self.channels, 1), "stem");
-            "proj"
-        } else {
-            "stem"
-        };
-        g.add("join", &[tail, skip]);
-        g.fully_connected("fc", self.out, "join");
-        g.build()
-            .expect("generated residual blocks are valid")
-            .segments(batch)
-            .expect("positive batch")
-    }
-}
-
-fn arb_tiny_residual() -> impl Strategy<Value = TinyResidual> {
-    (1u64..16, any::<bool>(), any::<bool>(), 1u64..64).prop_map(
-        |(channels, two_convs, projection, out)| TinyResidual {
-            channels,
-            two_convs,
-            projection,
-            out,
-        },
-    )
 }
 
 proptest! {

@@ -17,59 +17,22 @@
 
 #![expect(clippy::expect_used, reason = "helpers fail by panicking")]
 
+mod common;
+
+use common::arb_tiny_residual;
+use hypar_core::HierarchicalPlan;
 use hypar_graph::{
-    best_joint_graph, evaluate_graph_plan, partition_graph, partition_graph_refined, zoo,
-    GraphBuilder, SegmentCommGraph, INPUT,
+    best_joint_graph, evaluate_graph_plan, partition_graph, refine_graph_plan, zoo,
+    SegmentCommGraph,
 };
-use hypar_models::ConvSpec;
-use hypar_tensor::FeatureDims;
 use proptest::prelude::*;
 
-/// A randomly drawn tiny residual block: stem -> body (1 or 2 convs),
-/// `add`-joined with the stem (or a 1x1 projection), into a classifier.
-#[derive(Clone, Debug)]
-struct TinyResidual {
-    channels: u64,
-    two_convs: bool,
-    projection: bool,
-    out: u64,
-}
-
-impl TinyResidual {
-    fn graph(&self, batch: u64) -> SegmentCommGraph {
-        let mut g = GraphBuilder::new("tiny-res", FeatureDims::new(self.channels, 8, 8));
-        g.conv("stem", ConvSpec::same(self.channels, 3), INPUT);
-        g.conv("body_a", ConvSpec::same(self.channels, 3), "stem");
-        let tail = if self.two_convs {
-            g.conv("body_b", ConvSpec::same(self.channels, 3), "body_a");
-            "body_b"
-        } else {
-            "body_a"
-        };
-        let skip = if self.projection {
-            g.conv("proj", ConvSpec::same(self.channels, 1), "stem");
-            "proj"
-        } else {
-            "stem"
-        };
-        g.add("join", &[tail, skip]);
-        g.fully_connected("fc", self.out, "join");
-        g.build()
-            .expect("generated residual blocks are valid")
-            .segments(batch)
-            .expect("positive batch")
-    }
-}
-
-fn arb_tiny_residual() -> impl Strategy<Value = TinyResidual> {
-    (1u64..16, any::<bool>(), any::<bool>(), 1u64..64).prop_map(
-        |(channels, two_convs, projection, out)| TinyResidual {
-            channels,
-            two_convs,
-            projection,
-            out,
-        },
-    )
+/// The stitched plan of `graph`, refined.
+fn refined(graph: &SegmentCommGraph, levels: usize) -> HierarchicalPlan {
+    let stitched = partition_graph(graph, levels).expect("graphs stitch");
+    refine_graph_plan(graph, &stitched)
+        .expect("stitched plans refine")
+        .0
 }
 
 proptest! {
@@ -85,7 +48,7 @@ proptest! {
     ) {
         let graph = spec.graph(batch);
         let stitched = partition_graph(&graph, levels).unwrap();
-        let refined = partition_graph_refined(&graph, levels).unwrap();
+        let refined = refined(&graph, levels);
         prop_assert!(
             refined.total_comm_elems() <= stitched.total_comm_elems() * (1.0 + 1e-12),
             "refined {} vs stitched {}",
@@ -99,8 +62,8 @@ proptest! {
     /// Wherever the joint optimum is certifiable, refinement reaches its
     /// cost on the randomly drawn residual blocks too — bounded from
     /// **both** sides: a refined plan above the optimum means descent
-    /// stopped short, one below it means the refinement evaluator and
-    /// the joint enumeration's scratch evaluator have drifted apart.
+    /// stopped short, one below it means the two searches priced plans
+    /// differently.
     #[test]
     fn refined_reaches_the_joint_cost_on_random_residuals(
         spec in arb_tiny_residual(),
@@ -108,7 +71,7 @@ proptest! {
         batch in 1u64..64,
     ) {
         let graph = spec.graph(batch);
-        let refined = partition_graph_refined(&graph, levels).unwrap();
+        let refined = refined(&graph, levels);
         let joint = best_joint_graph(&graph, levels).unwrap();
         prop_assert!(
             (refined.total_comm_elems() - joint.total_comm_elems()).abs()
@@ -127,8 +90,7 @@ proptest! {
 /// cost under the shared whole-graph model.  The 24-slot boundary itself
 /// (16.8M candidates — too slow for the debug test suite) is certified in
 /// release by
-/// the `greedy_gap_branchy` experiment and tracked by the
-/// `best_joint_graph/24slots` criterion bench.
+/// the `greedy_gap_branchy` experiment.
 #[test]
 fn refined_matches_the_joint_optimum_cost_on_the_zoo_within_the_bound() {
     let mut certified = 0;
@@ -138,7 +100,7 @@ fn refined_matches_the_joint_optimum_cost_on_the_zoo_within_the_bound() {
             if graph.num_layers() * levels > 21 {
                 continue;
             }
-            let refined = partition_graph_refined(&graph, levels).unwrap();
+            let refined = refined(&graph, levels);
             let joint = best_joint_graph(&graph, levels).unwrap();
             let tolerance = 1e-9 * joint.total_comm_elems().max(1.0);
             assert!(

@@ -42,6 +42,14 @@ pub enum NetworkError {
         /// Which hyper-parameter was zero.
         what: &'static str,
     },
+    /// A tensor extent or element count of the layer does not fit in a
+    /// `u64` (untrusted specs can ask for absurd extents or batches).
+    Overflow {
+        /// Name of the offending layer.
+        layer: String,
+        /// Which quantity overflowed.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for NetworkError {
@@ -64,6 +72,9 @@ impl fmt::Display for NetworkError {
             Self::ZeroStride { layer } => write!(f, "layer `{layer}`: stride must be positive"),
             Self::ZeroDimension { layer, what } => {
                 write!(f, "layer `{layer}`: {what} must be positive")
+            }
+            Self::Overflow { layer, what } => {
+                write!(f, "layer `{layer}`: 64-bit overflow in {what}")
             }
         }
     }

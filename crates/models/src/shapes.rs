@@ -215,12 +215,22 @@ impl NetworkShapes {
     }
 }
 
-fn out_extent(input: u64, window: u64, stride: u64, padding: u64) -> u64 {
-    (input + 2 * padding - window) / stride + 1
+/// Output extent of a window sliding over a (padded) extent it fits in.
+fn out_extent(padded: u64, window: u64, stride: u64) -> u64 {
+    (padded - window) / stride + 1
+}
+
+/// The product of `factors`; `None` when it overflows `u64`.
+fn product(factors: &[u64]) -> Option<u64> {
+    factors.iter().try_fold(1u64, |acc, &f| acc.checked_mul(f))
 }
 
 fn infer_layer(layer: &Layer, input: FeatureDims, batch: u64) -> Result<LayerShapes, NetworkError> {
     let name = layer.name().to_owned();
+    let overflow = |what| NetworkError::Overflow {
+        layer: layer.name().to_owned(),
+        what,
+    };
     let (input, conv_out, weight_elems, macs_per_sample, kernel_extent) = match *layer.kind() {
         LayerKind::Conv(spec) => {
             if spec.stride == 0 {
@@ -238,8 +248,15 @@ fn infer_layer(layer: &Layer, input: FeatureDims, batch: u64) -> Result<LayerSha
                     what: "kernel",
                 });
             }
-            let padded_h = input.height + 2 * spec.padding;
-            let padded_w = input.width + 2 * spec.padding;
+            let padded = |extent| {
+                let padded = spec
+                    .padding
+                    .checked_mul(2)
+                    .and_then(|p| p.checked_add(extent));
+                padded.ok_or_else(|| overflow("padded input extent"))
+            };
+            let padded_h = padded(input.height)?;
+            let padded_w = padded(input.width)?;
             if spec.kernel > padded_h || spec.kernel > padded_w {
                 return Err(NetworkError::KernelTooLarge {
                     layer: name,
@@ -247,11 +264,14 @@ fn infer_layer(layer: &Layer, input: FeatureDims, batch: u64) -> Result<LayerSha
                     input: padded_h.min(padded_w),
                 });
             }
-            let out_h = out_extent(input.height, spec.kernel, spec.stride, spec.padding);
-            let out_w = out_extent(input.width, spec.kernel, spec.stride, spec.padding);
+            let out_h = out_extent(padded_h, spec.kernel, spec.stride);
+            let out_w = out_extent(padded_w, spec.kernel, spec.stride);
             let conv_out = FeatureDims::new(spec.out_channels, out_h, out_w);
-            let weight_elems = spec.kernel * spec.kernel * input.channels * spec.out_channels;
-            let macs = weight_elems * out_h * out_w;
+            let weight_elems =
+                product(&[spec.kernel, spec.kernel, input.channels, spec.out_channels])
+                    .ok_or_else(|| overflow("weight elements"))?;
+            let macs = product(&[weight_elems, out_h, out_w])
+                .ok_or_else(|| overflow("multiply-accumulates"))?;
             (input, conv_out, weight_elems, macs, spec.kernel)
         }
         LayerKind::FullyConnected(spec) => {
@@ -261,9 +281,12 @@ fn infer_layer(layer: &Layer, input: FeatureDims, batch: u64) -> Result<LayerSha
                     what: "out_features",
                 });
             }
-            let flat = input.flattened();
+            let features = product(&[input.channels, input.height, input.width])
+                .ok_or_else(|| overflow("input elements"))?;
+            let flat = FeatureDims::flat(features);
             let conv_out = FeatureDims::flat(spec.out_features);
-            let weight_elems = flat.volume() * spec.out_features;
+            let weight_elems = product(&[features, spec.out_features])
+                .ok_or_else(|| overflow("weight elements"))?;
             (flat, conv_out, weight_elems, weight_elems, 1)
         }
     };
@@ -283,20 +306,25 @@ fn infer_layer(layer: &Layer, input: FeatureDims, batch: u64) -> Result<LayerSha
             }
             FeatureDims::new(
                 conv_out.channels,
-                out_extent(conv_out.height, pool.size, pool.stride, 0),
-                out_extent(conv_out.width, pool.size, pool.stride, 0),
+                out_extent(conv_out.height, pool.size, pool.stride),
+                out_extent(conv_out.width, pool.size, pool.stride),
             )
         }
     };
 
-    // Activation touches every produced element; pooling reads every
-    // produced element once more.
-    let act_ops = conv_out.volume();
-    let pool_ops = if layer.pool().is_some() {
-        conv_out.volume()
-    } else {
-        0
+    // Every batched count the getters and the cost model read must fit,
+    // so that they can multiply without checks.  Activation touches every
+    // produced element; pooling reads every produced element once more.
+    let batched = |dims: FeatureDims, what| {
+        product(&[batch, dims.channels, dims.height, dims.width]).ok_or_else(|| overflow(what))
     };
+    batched(input, "batched input elements")?;
+    batched(junction_out, "batched junction elements")?;
+    let passes = if layer.pool().is_some() { 2 } else { 1 };
+    let elementwise_ops = product(&[batched(conv_out, "batched output elements")?, passes])
+        .ok_or_else(|| overflow("element-wise operations"))?;
+    let macs_forward =
+        product(&[batch, macs_per_sample]).ok_or_else(|| overflow("multiply-accumulates"))?;
 
     Ok(LayerShapes {
         name,
@@ -307,8 +335,8 @@ fn infer_layer(layer: &Layer, input: FeatureDims, batch: u64) -> Result<LayerSha
         junction_out,
         kernel_extent,
         weight_elems,
-        macs_forward: batch * macs_per_sample,
-        elementwise_ops: batch * (act_ops + pool_ops),
+        macs_forward,
+        elementwise_ops,
     })
 }
 
@@ -415,6 +443,41 @@ mod tests {
     fn fc_flattens_conv_output() {
         let shapes = NetworkShapes::infer(&lenet(), 1).unwrap();
         assert_eq!(shapes.layer(2).input, FeatureDims::flat(50 * 4 * 4));
+    }
+
+    #[test]
+    fn overflowing_extents_and_counts_are_typed_errors() {
+        let overflow = |layer: &str, what| NetworkError::Overflow {
+            layer: layer.to_owned(),
+            what,
+        };
+        // 2^32 x 2^16 x 2^16 flattens to 2^64 features.
+        let wide = Network::builder("wide", FeatureDims::new(1 << 32, 1 << 16, 1 << 16))
+            .fully_connected("fc", 2)
+            .build();
+        assert_eq!(wide.unwrap_err(), overflow("fc", "input elements"));
+        // 2·padding wraps.
+        let padding = u64::MAX / 2 + 1;
+        let padded = Network::builder("padded", FeatureDims::new(1, 8, 8))
+            .conv(
+                "conv",
+                ConvSpec {
+                    out_channels: 4,
+                    kernel: 3,
+                    stride: 1,
+                    padding,
+                },
+            )
+            .build();
+        assert_eq!(padded.unwrap_err(), overflow("conv", "padded input extent"));
+        // A valid network at a batch its activations cannot hold.
+        assert_eq!(
+            NetworkShapes::infer(&lenet(), 1 << 60).unwrap_err(),
+            overflow("conv1", "batched input elements")
+        );
+        assert!(overflow("fc", "input elements")
+            .to_string()
+            .contains("64-bit overflow"));
     }
 
     #[test]

@@ -692,7 +692,7 @@ impl<'a> Builder<'a> {
                         self.segs[s].plan.choice(h, l),
                         self.segs[s].plan.choice(h, l + 1),
                         view.junction_elems,
-                        self.segs[s].scales_at[h].junction_scale_with(l, self.cfg.junction_scaling),
+                        self.segs[s].scales_at[h].junction_scale(l, self.cfg.junction_scaling),
                     );
                     if f_elems > 0.0 {
                         let deps = vec![self.barrier(&tasks)];
@@ -740,7 +740,7 @@ impl<'a> Builder<'a> {
                         self.segs[s].plan.choice(h, l),
                         self.segs[s].plan.choice(h, l + 1),
                         view.junction_elems,
-                        self.segs[s].scales_at[h].junction_scale_with(l, self.cfg.junction_scaling),
+                        self.segs[s].scales_at[h].junction_scale(l, self.cfg.junction_scaling),
                     );
                     if e_elems > 0.0 {
                         let deps = vec![self.barrier(&bwd_frontier)];

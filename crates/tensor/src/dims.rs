@@ -65,10 +65,12 @@ impl FeatureDims {
         Self::new(features, 1, 1)
     }
 
-    /// Total number of elements in one sample of this feature map.
+    /// Total number of elements in one sample of this feature map; past
+    /// `u64::MAX` (which shape inference rejects) it saturates, never wraps.
     #[must_use]
     pub fn volume(&self) -> u64 {
-        self.channels * self.height * self.width
+        let area = self.height.saturating_mul(self.width);
+        self.channels.saturating_mul(area)
     }
 
     /// Whether this is a flat (1×1 spatial) feature map, i.e. the shape a
@@ -120,6 +122,14 @@ mod tests {
         let flat = dims.flattened();
         assert!(flat.is_flat());
         assert_eq!(flat.volume(), dims.volume());
+    }
+
+    #[test]
+    fn volume_saturates_instead_of_wrapping() {
+        // 2^32 x 2^16 x 2^16 = 2^64 wraps to 0 in u64 arithmetic.
+        let huge = FeatureDims::new(1 << 32, 1 << 16, 1 << 16);
+        assert_eq!(huge.volume(), u64::MAX);
+        assert_eq!(huge.flattened(), FeatureDims::flat(u64::MAX));
     }
 
     #[test]

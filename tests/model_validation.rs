@@ -2,13 +2,29 @@
 //! algorithms against the paper's published numbers and against brute
 //! force.
 
-use hypar_comm::{NetworkCommTensors, Parallelism, ScaleState};
+use hypar_comm::{
+    level_cost, JunctionScaling, LevelCost, NetworkCommTensors, Parallelism, ScaleState,
+};
 use hypar_core::{baselines, evaluate::evaluate_plan, exhaustive, hierarchical, two_group};
 use hypar_models::zoo;
 
 fn view(name: &str, batch: u64) -> NetworkCommTensors {
     NetworkCommTensors::from_network(&zoo::by_name(name).expect("zoo name"), batch)
         .expect("valid network")
+}
+
+/// One group pair's itemized cost at every level of a plan, with the
+/// scales descending level by level as Algorithm 2 commits them.
+fn per_level(net: &NetworkCommTensors, levels: &[Vec<Parallelism>]) -> Vec<LevelCost> {
+    let mut scales = ScaleState::identity(net.len());
+    levels
+        .iter()
+        .map(|assignment| {
+            let cost = level_cost(net, &scales, assignment, JunctionScaling::Consumer);
+            scales = scales.descend(assignment);
+            cost
+        })
+        .collect()
 }
 
 #[test]
@@ -50,8 +66,10 @@ fn dp_equals_brute_force_on_every_feasible_zoo_network() {
             dp.comm_elems
         );
         // The assignments may differ only on exact ties.
-        let dp_cost = hypar_comm::level_cost(&net, &scales, &dp.assignment).total_elems();
-        let brute_cost = hypar_comm::level_cost(&net, &scales, &assignment).total_elems();
+        let dp_cost =
+            level_cost(&net, &scales, &dp.assignment, JunctionScaling::Consumer).total_elems();
+        let brute_cost =
+            level_cost(&net, &scales, &assignment, JunctionScaling::Consumer).total_elems();
         assert!(
             (dp_cost - brute_cost).abs() <= 1e-9 * brute_cost.max(1.0),
             "{name}"
@@ -119,12 +137,18 @@ fn batch_size_flips_the_fc_decision() {
 
 #[test]
 fn evaluate_plan_is_additive_over_levels() {
+    // The total is Σ_h 2^h · (one pair's cost at level h).
     let net = view("AlexNet", 256);
     let plan = hierarchical::partition(&net, 4);
-    let cost = evaluate_plan(&net, plan.levels());
-    let total: f64 = cost.weighted_level_elems().iter().sum();
-    assert!((total - cost.total_elems()).abs() <= 1e-9 * total);
-    assert_eq!(cost.per_level.len(), 4);
+    let levels = per_level(&net, plan.levels());
+    assert_eq!(levels.len(), 4);
+    let total: f64 = levels
+        .iter()
+        .zip([1.0, 2.0, 4.0, 8.0])
+        .map(|(cost, pairs)| pairs * cost.total_elems())
+        .sum();
+    assert_eq!(total, evaluate_plan(&net, plan.levels()).total_elems());
+    assert_eq!(total, plan.total_comm_elems());
 }
 
 #[test]
@@ -141,14 +165,14 @@ fn zero_inter_layer_cost_iff_all_dp() {
     // junction or reduction traffic somewhere.
     let net = view("Lenet-c", 256);
     let dp = baselines::all_data(&net, 4);
-    let cost = evaluate_plan(&net, dp.levels());
-    for level in &cost.per_level {
+    for level in per_level(&net, dp.levels()) {
         assert!(level.inter.iter().all(|&x| x == 0.0));
     }
+    // So all-dp pays exactly the gradient exchange: 2·A(W)·(2^H − 1).
+    let weights: f64 = net.layers().iter().map(|l| l.weight_elems).sum();
+    assert_eq!(dp.total_comm_elems(), 2.0 * weights * 15.0);
     let hypar = hierarchical::partition(&net, 4);
-    let cost = evaluate_plan(&net, hypar.levels());
-    let any_inter = cost
-        .per_level
+    let any_inter = per_level(&net, hypar.levels())
         .iter()
         .any(|l| l.inter.iter().any(|&x| x > 0.0));
     assert!(any_inter, "Lenet-c's hybrid plan crosses layouts somewhere");
