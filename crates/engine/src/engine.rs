@@ -147,17 +147,24 @@ impl PlanEngine {
     /// `root`.  Returned responses never carry timing: the caller
     /// attaches the finished span tree, and the cache stores timing-free
     /// entries so traced and untraced requests share them.
+    ///
+    /// A request the cache has already answered is found by its digest
+    /// and skips resolution; any other request resolves to a fingerprint,
+    /// which may still hit an entry another spelling made.
     fn plan_recorded(
         &self,
         request: &PlanRequest,
         root: &mut SpanRecorder,
     ) -> Result<PlanResponse, EngineError> {
+        let spelling = self.cache.digest(request);
+        if let Some(cached) = root.time("cache_lookup", || self.cache.get_digest(spelling)) {
+            return Ok(served_from_cache(&cached));
+        }
         let resolved = root.time_in("resolve", |span| Resolved::new(request, span))?;
         let key = resolved.fingerprint();
-        if let Some(cached) = root.time("cache_lookup", || self.cache.get(key)) {
-            let mut response = (*cached).clone();
-            response.cache_hit = true;
-            return Ok(response);
+        if let Some(cached) = root.time("cache_lookup", || self.cache.get_for(key, Some(spelling)))
+        {
+            return Ok(served_from_cache(&cached));
         }
         let response =
             root.time_in("compute", |span| resolved.compute(key, span, &self.metrics))?;
@@ -166,7 +173,8 @@ impl PlanEngine {
             self.metrics.plan_compute_ns.record(compute.duration_ns);
         }
         let response = Arc::new(response);
-        self.cache.insert(key, Arc::clone(&response));
+        self.cache
+            .insert_for(key, Some(spelling), Arc::clone(&response));
         Ok((*response).clone())
     }
 
@@ -387,6 +395,14 @@ impl Resolved {
         metrics.refine_sweeps.add(report.sweeps as u64);
         metrics.refine_flips.add(report.flips);
         Ok(refined)
+    }
+}
+
+/// A cached response as a reply: the stored plan, flagged as a hit.
+fn served_from_cache(cached: &PlanResponse) -> PlanResponse {
+    PlanResponse {
+        cache_hit: true,
+        ..cached.clone()
     }
 }
 

@@ -22,7 +22,8 @@
 //!   results in an LRU [`cache::PlanCache`] keyed by a stable
 //!   [`fingerprint::Fingerprint`] of the *resolved* workload (network
 //!   shapes, not names), so repeated and equivalent queries are served in
-//!   O(1);
+//!   O(1) — and a repeated request skips resolution, through an index of
+//!   the request spelling that last reached each entry;
 //! * [`PlanEngine::plan_many`] — fans a batch of requests across CPU
 //!   cores with deterministic, order-preserving results;
 //! * [`service`] — a line-delimited JSON front-end over any

@@ -113,7 +113,7 @@ impl Deserialize for Strategy {
 }
 
 /// Input feature-map extent of a custom network.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct InputSpec {
     /// Channels `C` (1 for flat inputs).
     pub channels: u64,
@@ -124,7 +124,7 @@ pub struct InputSpec {
 }
 
 /// One weighted layer of a custom network.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LayerSpec {
     /// Layer name; defaults to `conv<i>` / `fc<i>`.
     pub name: Option<String>,
@@ -143,7 +143,7 @@ pub struct LayerSpec {
 }
 
 /// A custom (non-zoo) network described inline in the request.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CustomNetwork {
     /// Network name used in reports (default `custom`).
     pub name: Option<String>,
@@ -155,7 +155,7 @@ pub struct CustomNetwork {
 
 /// One node of an inline DAG network: a weighted layer (`conv`/`fc`) or a
 /// join (`add`/`concat`), wired to its producers by name.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct GraphNodeSpec {
     /// Unique node name; other nodes reference it through `inputs`.
     pub name: String,
@@ -189,7 +189,7 @@ pub struct GraphNodeSpec {
 ///    {"name": "join", "kind": "add", "inputs": ["stem", "body"]},
 ///    {"name": "fc", "kind": "fc", "out": 10, "inputs": ["join"]}]}
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct GraphSpec {
     /// Network name used in reports (default `graph`).
     pub name: Option<String>,
@@ -202,7 +202,7 @@ pub struct GraphSpec {
 }
 
 /// How the request names its network: a zoo model or an inline spec.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Hash)]
 pub enum NetworkRef {
     /// A zoo network by (forgiving) name: the paper's ten chain networks
     /// (`"VGG-A"`, `"vgg_a"`, and `"vgga"` all resolve identically) or a
@@ -456,13 +456,21 @@ pub(crate) fn topology_name(topology: Topology) -> &'static str {
 /// Wall-clock timing of one request's processing, attached to a
 /// [`PlanResponse`] when the request set `trace: true`.
 ///
-/// The span tree mirrors the engine's pipeline: a `plan` root with
-/// `resolve` (network resolution, shape inference, and — for DAG
-/// networks — `segment_decomposition`) and `cache_lookup` children, plus,
-/// on a cache miss, a `compute` subtree covering the strategy search
-/// (`plan_segments`/`stitch`/`refine`/`exhaustive`/…) and `simulate`.
-/// A cache hit's trace stops at the lookup — the compute subtree
-/// belongs to whichever request populated the entry.
+/// The span tree mirrors the engine's pipeline under a `plan` root:
+///
+/// * a repeat hit has one child, `cache_lookup`: the request, `trace`
+///   aside, is the last spelling that reached a still-cached entry, and
+///   the cache's request index leads straight to it;
+/// * for any other request that first `cache_lookup` finds nothing, and
+///   `resolve` (network resolution, shape inference, and — for DAG
+///   networks — `segment_decomposition`) and a second `cache_lookup`, by
+///   fingerprint, follow; the second one hits when another spelling of
+///   the same workload made the entry;
+/// * on a miss, a `compute` subtree follows, covering the strategy search
+///   (`plan_segments`/`stitch`/`refine`/`exhaustive`/…) and `simulate`.
+///
+/// A hit's trace stops at its lookup — the compute subtree belongs to
+/// whichever request populated the entry.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PlanTiming {
     /// End-to-end wall-clock of [`crate::PlanEngine::plan`], ns.

@@ -132,25 +132,28 @@ fn huge_fields_are_bounded_in_time_and_yield_errors() {
 #[test]
 fn the_service_loop_survives_a_hostile_session_and_still_plans() {
     let engine = PlanEngine::new();
-    let mut input = String::new();
-    input.push_str(&"[".repeat(50_000));
-    input.push('\n');
-    input.push_str("{truncated\n");
-    input.push_str("{\"network\": \"no-such-net\"}\n");
-    input.push_str("{\"network\": \"sfc\", \"levels\": 2}\n");
+    let mut input = Vec::new();
+    input.extend("[".repeat(50_000).bytes());
+    input.push(b'\n');
+    input.extend(b"{truncated\n");
+    input.extend(b"{\"network\": \"no-such-net\"}\n");
+    // Not UTF-8: an error reply, not the end of the session.
+    input.extend(b"\xff\xfe bad\n");
+    input.extend(b"{\"network\": \"sfc\", \"levels\": 2}\n");
 
     let mut output = Vec::new();
-    service::serve_lines(&engine, input.as_bytes(), &mut output).unwrap();
+    service::serve_lines(&engine, input.as_slice(), &mut output).unwrap();
     let text = String::from_utf8(output).unwrap();
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 4, "{text}");
-    for line in &lines[..3] {
+    assert_eq!(lines.len(), 5, "{text}");
+    for line in &lines[..4] {
         let value: Value = serde_json::from_str(line).unwrap();
         assert!(value.get("error").is_some(), "{line}");
     }
+    assert!(lines[3].contains("invalid UTF-8"), "{}", lines[3]);
     // The session is still healthy: the final, legitimate request plans.
-    let last: Value = serde_json::from_str(lines[3]).unwrap();
-    assert!(last.get("state_hash").is_some(), "{}", lines[3]);
+    let last: Value = serde_json::from_str(lines[4]).unwrap();
+    assert!(last.get("state_hash").is_some(), "{}", lines[4]);
     assert_eq!(last.get("cache_hit").and_then(Value::as_bool), Some(false));
 }
 

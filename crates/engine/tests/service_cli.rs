@@ -1,14 +1,17 @@
-//! End-to-end tests of the `hypar-engine` binary: the stdin/stdout JSON
-//! protocol and the scenario-file runner.
+//! End-to-end tests of the `hypar-engine` binary: the stdin/stdout and
+//! TCP JSON protocols and the scenario-file runner.
 
 #![expect(
     clippy::expect_used,
     clippy::let_underscore_must_use,
-    reason = "helpers fail by panicking; results a test does not inspect are discarded"
+    clippy::disallowed_methods,
+    reason = "helpers fail by panicking; results a test does not inspect are discarded; a latency bound reads the wall clock"
 )]
 
-use std::io::Write;
-use std::process::{Command, Stdio};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::process::{Child, ChildStderr, Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn engine_bin() -> &'static str {
     env!("CARGO_BIN_EXE_hypar-engine")
@@ -217,4 +220,112 @@ fn rejects_unknown_arguments() {
         .expect("binary runs");
     assert!(!output.status.success());
     assert!(String::from_utf8_lossy(&output.stderr).contains("unknown argument"));
+}
+
+/// A `hypar-engine --listen 127.0.0.1:0` child, killed on drop.
+struct Server {
+    child: Child,
+    addr: String,
+    /// Held open so the server's later stderr lines have a reader.
+    _stderr: BufReader<ChildStderr>,
+}
+
+impl Server {
+    fn start() -> Self {
+        let mut child = Command::new(engine_bin())
+            .args(["--listen", "127.0.0.1:0"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary spawns");
+        let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
+        let mut banner = String::new();
+        stderr.read_line(&mut banner).expect("banner line");
+        let addr = banner
+            .trim()
+            .strip_prefix("hypar-engine listening on ")
+            .expect("listening banner")
+            .to_owned();
+        Server {
+            child,
+            addr,
+            _stderr: stderr,
+        }
+    }
+
+    fn connect(&self) -> Client {
+        let stream = TcpStream::connect(&self.addr).expect("connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        Client {
+            reader: BufReader::new(stream.try_clone().expect("stream clones")),
+            writer: stream,
+        }
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+struct Client {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Client {
+    /// Sends one request line (in one write, so the client side never
+    /// waits on Nagle either) and reads one reply line.
+    fn ask(&mut self, request: &[u8]) -> String {
+        let mut line = request.to_vec();
+        line.push(b'\n');
+        self.writer.write_all(&line).expect("request sent");
+        let mut reply = String::new();
+        self.reader.read_line(&mut reply).expect("reply read");
+        assert!(reply.ends_with('\n'), "one whole reply line: {reply:?}");
+        reply
+    }
+}
+
+#[test]
+fn serves_tcp_clients_from_one_cache_one_write_per_reply() {
+    let server = Server::start();
+    let request = br#"{"network": "vgg_a", "levels": 4}"#;
+    let first = server.connect().ask(request);
+    assert!(first.contains(r#""cache_hit":false"#), "{first}");
+    let hit = first.replacen(r#""cache_hit":false"#, r#""cache_hit":true"#, 1);
+
+    // A second connection's first request hits the first one's entry.
+    let mut client = server.connect();
+    assert_eq!(client.ask(request), hit);
+
+    // Each hit goes out in one write: 200 round trips take milliseconds,
+    // not the ~40 ms each that a reply split from its `\n` waits on Nagle.
+    let started = Instant::now();
+    for _ in 0..200 {
+        assert_eq!(client.ask(request), hit);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "200 hits took {elapsed:?}"
+    );
+
+    // A line that is not UTF-8 gets an error, and the connection plans on.
+    let error: serde_json::Value =
+        serde_json::from_str(&client.ask(b"\xff\xfe bad")).expect("valid json");
+    assert!(error.get("error").is_some(), "{error:?}");
+    let next: serde_json::Value =
+        serde_json::from_str(&client.ask(br#"{"network": "sfc", "levels": 2}"#))
+            .expect("valid json");
+    assert!(next.get("state_hash").is_some(), "{next:?}");
+    assert_eq!(
+        next.get("cache_hit").and_then(serde_json::Value::as_bool),
+        Some(false)
+    );
 }
