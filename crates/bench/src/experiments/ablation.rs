@@ -1,5 +1,6 @@
-//! Ablations of the design choices DESIGN.md calls out — beyond the
-//! paper's own evaluation:
+//! Ablations of the model's design choices (the README sections "The
+//! cost model: one exact evaluator" and "Reproducing the paper") — beyond
+//! the paper's own evaluation:
 //!
 //! 1. **Junction scaling** — the paper leaves the hierarchical scope of
 //!    the Table 2 junction tensor unspecified; how sensitive are the plans

@@ -19,12 +19,7 @@
 //! on ResNet-18 (84 slots at `H = 4`), where the exhaustive search is a
 //! typed rejection.
 
-use hypar_graph::{
-    best_joint_graph, partition_graph, refine_graph_plan, zoo, GraphBuilder, SegmentCommGraph,
-    INPUT,
-};
-use hypar_models::ConvSpec;
-use hypar_tensor::FeatureDims;
+use hypar_graph::{best_joint_graph, partition_graph, refine_graph_plan, zoo, SegmentCommGraph};
 use serde::Serialize;
 
 use crate::report::{ratio, Table};
@@ -95,84 +90,15 @@ pub struct GreedyGapBranchy {
     pub unbounded: UnboundedRow,
 }
 
-/// A single residual block — the smallest branchy shape: stem and body
-/// convolutions `add`-joined into a classifier (3 layers, 3 segments).
-fn tiny_res() -> SegmentCommGraph {
-    let mut g = GraphBuilder::new("Tiny-Res", FeatureDims::new(8, 16, 16));
-    g.conv("stem", ConvSpec::same(8, 3), INPUT)
-        .conv("body", ConvSpec::same(8, 3), "stem")
-        .add("join", &["stem", "body"])
-        .fully_connected("fc", 10, "join");
-    g.build().expect("valid graph").segments(BATCH).expect("ok")
-}
-
-/// A downsampling residual block with a 1×1 projection skip — the
-/// ResNet stage-entry pattern (4 layers, 4 segments).
-fn res_proj() -> SegmentCommGraph {
-    let mut g = GraphBuilder::new("Res-Proj", FeatureDims::new(8, 16, 16));
-    g.conv("stem", ConvSpec::same(8, 3), INPUT)
-        .conv(
-            "body",
-            ConvSpec {
-                out_channels: 16,
-                kernel: 3,
-                stride: 2,
-                padding: 1,
-            },
-            "stem",
-        )
-        .conv(
-            "proj",
-            ConvSpec {
-                out_channels: 16,
-                kernel: 1,
-                stride: 2,
-                padding: 0,
-            },
-            "stem",
-        )
-        .add("join", &["body", "proj"])
-        .fully_connected("fc", 10, "join");
-    g.build().expect("valid graph").segments(BATCH).expect("ok")
-}
-
-/// A trimmed Inception module: two convolution branches concatenated into
-/// a classifier (4 layers, 4 segments).
-fn inception_trim() -> SegmentCommGraph {
-    let mut g = GraphBuilder::new("Inception-Trim", FeatureDims::new(8, 16, 16));
-    g.conv("stem", ConvSpec::same(16, 3), INPUT)
-        .conv("b1x1", ConvSpec::same(8, 1), "stem")
-        .conv("b3x3", ConvSpec::same(8, 3), "stem")
-        .concat("mixed", &["b1x1", "b3x3"])
-        .fully_connected("fc", 10, "mixed");
-    g.build().expect("valid graph").segments(BATCH).expect("ok")
-}
-
-/// Two stacked residual blocks with two-convolution bodies — the deepest
-/// trimmed net, sized to the enumeration boundary at `H = 3` (6 layers,
-/// 18 slots).
-fn res_pair() -> SegmentCommGraph {
-    let mut g = GraphBuilder::new("Res-Pair", FeatureDims::new(8, 8, 8));
-    g.conv("stem", ConvSpec::same(8, 3), INPUT)
-        .conv("b1_a", ConvSpec::same(8, 3), "stem")
-        .conv("b1_b", ConvSpec::same(8, 3), "b1_a")
-        .add("b1", &["b1_b", "stem"])
-        .conv("b2_a", ConvSpec::same(8, 3), "b1")
-        .conv("b2_b", ConvSpec::same(8, 3), "b2_a")
-        .add("b2", &["b2_b", "b1"])
-        .fully_connected("fc", 10, "b2");
-    g.build().expect("valid graph").segments(BATCH).expect("ok")
-}
-
-/// The small-branchy zoo: every graph with the hierarchy depth it is
-/// enumerated at (`L·H ≤ 24`).
+/// The small-branchy zoo: every trimmed net with the hierarchy depth it
+/// is enumerated at (`L·H ≤ 24`).
 fn small_zoo() -> Vec<(SegmentCommGraph, usize)> {
-    vec![
-        (tiny_res(), 4),       // 12 slots
-        (res_proj(), 4),       // 16 slots
-        (inception_trim(), 4), // 16 slots
-        (res_pair(), 3),       // 18 slots
-    ]
+    // Tiny-Res 12 slots, Res-Proj 16, Inception-Trim 16, Res-Pair 18.
+    zoo::trimmed()
+        .iter()
+        .zip([4, 4, 4, 3])
+        .map(|(dag, levels)| (dag.segments(BATCH).expect("ok"), levels))
+        .collect()
 }
 
 /// The stitched plan's total and its refined plan's total, in elements.

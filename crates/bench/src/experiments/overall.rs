@@ -229,7 +229,8 @@ mod tests {
 
     #[test]
     fn dp_figure8_column_matches_paper() {
-        // The all-dp totals the model reproduces exactly (DESIGN.md §2).
+        // The all-dp totals the model reproduces (see the README section
+        // "Reproducing the paper").
         let by_name: std::collections::HashMap<_, _> = dataset()
             .rows
             .iter()

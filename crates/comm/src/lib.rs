@@ -19,8 +19,8 @@
 //! The hierarchical partition re-applies the model at every level of a
 //! binary accelerator hierarchy; [`ScaleState`] tracks how each layer's
 //! tensors shrink as upper levels commit to dp (batch halves) or mp
-//! (kernel input dimension halves) — see `DESIGN.md` §2 for the full
-//! derivation.
+//! (kernel input dimension halves) — the README section "The cost model:
+//! one exact evaluator" derives the per-level terms.
 //!
 //! # Examples
 //!
@@ -63,4 +63,4 @@ pub use model::{inter_bytes, inter_elems, inter_split, intra_bytes, intra_elems,
 pub use parallelism::Parallelism;
 pub use scale::{junction_scale_between, JunctionScaling, LayerScale, ScaleState};
 pub use tensors::{LayerCommTensors, NetworkCommTensors};
-pub use terms::CostTerms;
+pub use terms::{CostTerms, FlipPricer};

@@ -22,8 +22,8 @@ use crate::Parallelism;
 /// not say which *fraction* of the junction tensor a sub-group owns when
 /// the producing and consuming layers have been partitioned differently by
 /// the levels above.  This crate defaults to the **consumer** scope (see
-/// `DESIGN.md` §2); the other interpretations are kept for the ablation in
-/// the experiment harness.
+/// the README section "The cost model: one exact evaluator"); the other
+/// interpretations are kept for the ablation in the experiment harness.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum JunctionScaling {
     /// The consumer layer's L-tensor layout: `bat[l+1] · fin[l+1]`
@@ -194,7 +194,8 @@ impl ScaleState {
 
     /// The junction scale between layer `l` and `l+1` under a
     /// [`JunctionScaling`] interpretation: the fraction of the junction
-    /// tensor a sub-group is responsible for (see DESIGN.md §2).
+    /// tensor a sub-group is responsible for (see the README section "The
+    /// cost model: one exact evaluator").
     ///
     /// # Panics
     ///

@@ -20,6 +20,11 @@
 //! terms).  The sum is exact in `u128` for counts below `2^64` at up to 32
 //! levels; counts arrive as `f64` fields, exact below `2^53`, and callers
 //! report the total rounded once to `f64`.
+//!
+//! The closed form makes one bit flip cheap: flipping layer `l` at level
+//! `h` moves `k_l` by one and `b_e` by one for each incident pair whose
+//! other end is dp at `h`, so a [`FlipPricer`] prices it in
+//! `O(1 + deg l)` instead of a whole `O((L + E)·H)` [`CostTerms::total`].
 
 use crate::{JunctionScaling, NetworkCommTensors, Parallelism};
 
@@ -84,6 +89,61 @@ impl CostTerms {
         self.pairs.push((producer, consumer, count(elems)));
     }
 
+    /// The number of layers the terms hold.
+    #[must_use]
+    pub fn num_layers(&self) -> usize {
+        self.weights.len()
+    }
+
+    /// A [`FlipPricer`] positioned at the plan `levels[h][l]` (top level
+    /// first), its running total `total(levels, Consumer)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a level does not cover every layer, or a pair names a
+    /// layer the terms do not hold.
+    #[must_use]
+    pub fn flip_pricer(&self, levels: &[Vec<Parallelism>]) -> FlipPricer<'_> {
+        let total = self.total(levels, JunctionScaling::Consumer);
+        let len = self.num_layers();
+        let mut dp_levels = vec![0; len];
+        for level in levels {
+            for (k, choice) in dp_levels.iter_mut().zip(level) {
+                *k += usize::from(*choice == Parallelism::Data);
+            }
+        }
+        // Compressed rows: layer l's pairs at incident[starts[l]..starts[l + 1]].
+        let mut starts = vec![0; len + 1];
+        for &(producer, consumer, _) in &self.pairs {
+            starts[producer + 1] += 1;
+            if consumer != producer {
+                starts[consumer + 1] += 1;
+            }
+        }
+        for l in 0..len {
+            starts[l + 1] += starts[l];
+        }
+        let mut next = starts.clone();
+        let mut incident = vec![(0, 0); starts[len]];
+        for &(producer, consumer, j) in &self.pairs {
+            incident[next[producer]] = (consumer, j);
+            next[producer] += 1;
+            if consumer != producer {
+                incident[next[consumer]] = (producer, j);
+                next[consumer] += 1;
+            }
+        }
+        FlipPricer {
+            terms: self,
+            depth: levels.len(),
+            plan: levels.concat(),
+            dp_levels,
+            starts,
+            incident,
+            total,
+        }
+    }
+
     /// The total array-wide communication of the plan `levels[h][l]` (top
     /// level first) under `mode`, in tensor elements.
     ///
@@ -125,6 +185,107 @@ impl CostTerms {
             }
         }
         total
+    }
+}
+
+/// A plan and its exact [`JunctionScaling::Consumer`] total, priced one
+/// bit flip at a time: the kernel of the coordinate descent and of the
+/// exhaustive Gray-code walk.
+///
+/// With `f_l(k) = 2·W_l·(2^k − 1) + 2·O_l·(2^(H − k) − 1)`, flipping bit
+/// `(h, l)` changes the total by `f_l(k_l ± 1) − f_l(k_l)`, minus (to dp)
+/// or plus (to mp) the `J` of every pair of `l` whose other end is dp at
+/// level `h` — a self-pair always counts.  To dp, that adds the layer's
+/// next dp term `2·W_l·2^k_l` and drops its costliest mp term
+/// `2·O_l·2^(H − k_l − 1)`; to mp, the reverse.  A flip costs
+/// `O(1 + deg l)` and allocates nothing, and each candidate is summed as
+/// `(total + added) − removed` in `u128`, so it is the exact
+/// [`CostTerms::total`] of the flipped plan.
+///
+/// Consumer scope only: the closed form the deltas come from holds for no
+/// other [`JunctionScaling`].  The Producer and Unscaled modes never
+/// search; price their plans whole with [`CostTerms::total`].
+///
+/// ```
+/// use hypar_comm::{CostTerms, JunctionScaling, NetworkCommTensors, Parallelism};
+///
+/// let net = NetworkCommTensors::from_network(&hypar_models::zoo::sfc(), 256)?;
+/// let terms = CostTerms::chain(&net);
+/// let mut plan = vec![vec![Parallelism::Data; net.len()]; 4];
+/// let mut pricer = terms.flip_pricer(&plan);
+/// let flipped = pricer.flip(2, 1);
+/// plan[2][1] = Parallelism::Model;
+/// assert_eq!(flipped, terms.total(&plan, JunctionScaling::Consumer));
+/// assert_eq!(pricer.total(), flipped);
+/// # Ok::<(), hypar_models::NetworkError>(())
+/// ```
+#[derive(Debug)]
+pub struct FlipPricer<'t> {
+    terms: &'t CostTerms,
+    depth: usize,
+    /// The plan, level-major: bit `(h, l)` at `h·L + l`.
+    plan: Vec<Parallelism>,
+    /// `k_l`: the levels at which layer `l` is dp.
+    dp_levels: Vec<usize>,
+    /// Layer `l`'s pairs, as `(other end, J)`, are
+    /// `incident[starts[l]..starts[l + 1]]`; a self-pair is listed once.
+    starts: Vec<usize>,
+    incident: Vec<(usize, u128)>,
+    total: u128,
+}
+
+impl FlipPricer<'_> {
+    /// The current plan's exact total.
+    #[must_use]
+    pub fn total(&self) -> u128 {
+        self.total
+    }
+
+    /// The exact total of the current plan with bit `(h, l)` flipped; the
+    /// plan itself is unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` or `l` is out of range.
+    #[must_use]
+    pub fn flipped_total(&self, h: usize, l: usize) -> u128 {
+        let k = self.dp_levels[l];
+        let len = self.dp_levels.len();
+        let level = &self.plan[h * len..(h + 1) * len];
+        let (w, o) = (self.terms.weights[l], self.terms.outputs[l]);
+        let to_dp = level[l] == Parallelism::Model;
+        let (mut added, mut removed) = if to_dp {
+            (w << (k + 1), o << (self.depth - k))
+        } else {
+            (o << (self.depth - k + 1), w << k)
+        };
+        for &(other, j) in &self.incident[self.starts[l]..self.starts[l + 1]] {
+            if other == l || level[other] == Parallelism::Data {
+                if to_dp {
+                    removed += j;
+                } else {
+                    added += j;
+                }
+            }
+        }
+        (self.total + added) - removed
+    }
+
+    /// Flips bit `(h, l)` and returns the new exact total.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` or `l` is out of range.
+    pub fn flip(&mut self, h: usize, l: usize) -> u128 {
+        self.total = self.flipped_total(h, l);
+        let bit = &mut self.plan[h * self.dp_levels.len() + l];
+        if *bit == Parallelism::Data {
+            self.dp_levels[l] -= 1;
+        } else {
+            self.dp_levels[l] += 1;
+        }
+        *bit = bit.flipped();
+        self.total
     }
 }
 
@@ -279,6 +440,64 @@ mod tests {
         let _ = CostTerms::chain(&net).total(&[vec![Data; 3]], JunctionScaling::Consumer);
     }
 
+    /// The pricer is exact: every single-bit flip it prices equals the
+    /// flipped plan's [`CostTerms::total`], and after a seeded sequence of
+    /// flips its running total equals the final plan's.
+    fn assert_flips_are_exact(terms: &CostTerms, levels: &[Vec<Parallelism>], seed: u64) {
+        let consumer = |plan: &[Vec<Parallelism>]| terms.total(plan, JunctionScaling::Consumer);
+        let mut pricer = terms.flip_pricer(levels);
+        assert_eq!(pricer.total(), consumer(levels));
+        let mut plan = levels.to_vec();
+        for h in 0..plan.len() {
+            for l in 0..terms.num_layers() {
+                plan[h][l] = plan[h][l].flipped();
+                assert_eq!(pricer.flipped_total(h, l), consumer(&plan), "({h}, {l})");
+                plan[h][l] = plan[h][l].flipped();
+            }
+        }
+        if plan.is_empty() || terms.num_layers() == 0 {
+            return;
+        }
+        let mut state = seed | 1;
+        for _ in 0..64 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let slot = usize::try_from(state % (plan.len() * terms.num_layers()) as u64).unwrap();
+            let (h, l) = (slot / terms.num_layers(), slot % terms.num_layers());
+            plan[h][l] = plan[h][l].flipped();
+            assert_eq!(pricer.flip(h, l), consumer(&plan), "flip ({h}, {l})");
+        }
+        assert_eq!(pricer.total(), consumer(&plan));
+    }
+
+    #[test]
+    fn flips_are_exact_at_32_levels() {
+        let (net, levels) = random_case(&[(1999, 7), (3, 1500), (640, 640)], 4127, 32, 9);
+        assert_flips_are_exact(&CostTerms::chain(&net), &levels, 9);
+    }
+
+    #[test]
+    fn flips_are_exact_with_a_pair_listed_twice() {
+        let (net, levels) = random_case(&[(20, 30), (30, 40), (40, 5)], 64, 6, 3);
+        let mut terms = CostTerms::chain(&net);
+        terms.push_pair(0, 2, 700.0);
+        terms.push_pair(0, 2, 700.0);
+        terms.push_pair(1, 2, 5.0);
+        assert_flips_are_exact(&terms, &levels, 3);
+    }
+
+    #[test]
+    fn flips_are_exact_with_a_self_pair() {
+        // A pair whose producer is its consumer is dp→dp exactly where
+        // its one layer is dp, so every flip of that layer moves b_e.
+        let (net, levels) = random_case(&[(20, 30), (30, 40)], 64, 5, 11);
+        let mut terms = CostTerms::chain(&net);
+        terms.push_pair(1, 1, 900.0);
+        terms.push_pair(0, 0, 13.0);
+        assert_flips_are_exact(&terms, &levels, 11);
+    }
+
     #[test]
     fn totals_past_two_to_the_53_are_exact() {
         // SFC at batch 2^28 all-mp over 16 levels: the exact total is far
@@ -323,6 +542,25 @@ mod tests {
                 CostTerms::chain(&net).total(&levels, JunctionScaling::Consumer),
                 closed_form(&net, &levels)
             );
+        }
+
+        /// Every flip the pricer prices is the flipped plan's exact total,
+        /// on random chains with random extra pairs (duplicates and
+        /// self-pairs included), H0–16.
+        #[test]
+        fn flip_pricer_is_exact(
+            params in proptest::collection::vec((1u64..2000, 1u64..2000), 1..9),
+            extra in proptest::collection::vec((0usize..8, 0usize..8, 1u64..5000), 0..4),
+            batch in 1u64..4301,
+            depth in 0usize..17,
+            seed in any::<u64>(),
+        ) {
+            let (net, levels) = random_case(&params, batch, depth, seed);
+            let mut terms = CostTerms::chain(&net);
+            for &(producer, consumer, elems) in &extra {
+                terms.push_pair(producer % net.len(), consumer % net.len(), elems as f64);
+            }
+            assert_flips_are_exact(&terms, &levels, seed);
         }
     }
 }

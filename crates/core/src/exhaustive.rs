@@ -10,8 +10,12 @@
 //! Every search space is validated up front: infeasible requests surface as
 //! typed [`ExhaustiveError`]s instead of panics, so the long-running plan
 //! service can expose the brute-force strategies to untrusted input.  The
-//! shared [`AssignmentSpace`] enumerator backs [`best_level`],
-//! [`best_joint`], and the DAG-side joint search in `hypar-graph`.
+//! shared [`AssignmentSpace`] enumerator backs [`best_level`] and
+//! [`best_joint_terms`], the one joint search behind [`best_joint`] and
+//! the DAG-side `hypar_graph::best_joint_graph`.  The joint search walks
+//! the patterns in reflected Gray-code order, so consecutive candidates
+//! differ in one bit and each is priced in `O(1 + degree)` by a
+//! [`hypar_comm::FlipPricer`].
 
 use std::fmt;
 
@@ -165,8 +169,9 @@ pub fn best_level(
 /// Exhaustively finds the minimum-communication **joint** plan over all
 /// `num_levels` levels at once (`O(2^{L·H})`), for quantifying the greedy
 /// gap of Algorithm 2.  Candidates are compared by their exact
-/// [`CostTerms::total`]; the first minimum in enumeration order wins, and
-/// its cost is returned rounded once to `f64`.
+/// [`CostTerms::total`] ([`best_joint_terms`] on the chain's terms); among
+/// equal costs the smallest bit pattern wins, and the cost is returned
+/// rounded once to `f64`.
 ///
 /// # Errors
 ///
@@ -177,27 +182,49 @@ pub fn best_joint(
     net: &NetworkCommTensors,
     num_levels: usize,
 ) -> Result<(f64, Vec<Vec<Parallelism>>), ExhaustiveError> {
-    let len = net.len();
+    let (cost, levels) = best_joint_terms(&CostTerms::chain(net), num_levels)?;
+    Ok((cost as f64, levels))
+}
+
+/// The minimum exact [`JunctionScaling::Consumer`] total of `terms` over
+/// every joint plan of `num_levels` levels, and the plan that attains it.
+///
+/// Bit `h·L + l` of a pattern is layer `l`'s choice at level `h` (LSB
+/// first, `0` = dp, `1` = mp).  One reflected-Gray-code walk visits all
+/// `2^{L·H}` patterns from the all-dp plan: step `i` flips slot
+/// `trailing_zeros(i)` and reaches pattern `i ^ (i >> 1)`, priced by a
+/// [`hypar_comm::FlipPricer`] in `O(1 + degree)`.  Among equal costs the
+/// smallest pattern wins, whatever the walk's order — the first minimum
+/// in counting order.
+///
+/// # Errors
+///
+/// Returns [`ExhaustiveError::Empty`] for terms without layers and
+/// [`ExhaustiveError::TooLarge`] when `L·H > `[`SLOT_LIMIT`].
+pub fn best_joint_terms(
+    terms: &CostTerms,
+    num_levels: usize,
+) -> Result<(u128, Vec<Vec<Parallelism>>), ExhaustiveError> {
+    let len = terms.num_layers();
     if len == 0 {
         return Err(ExhaustiveError::Empty);
     }
-    let terms = CostTerms::chain(net);
-    let mut levels = vec![vec![Parallelism::Data; len]; num_levels];
-    let (best_cost, best_bits) = assignment_space(len * num_levels)?
-        .map(|bits| {
-            for (h, level) in levels.iter_mut().enumerate() {
-                for (l, choice) in level.iter_mut().enumerate() {
-                    *choice = Parallelism::from_bit(bits >> (h * len + l) & 1 == 1);
-                }
-            }
-            (terms.total(&levels, JunctionScaling::Consumer), bits)
-        })
-        .min_by_key(|&(cost, _)| cost)
-        .unwrap_or_default();
-    let levels = (0..num_levels)
-        .map(|h| assignment_from_bits(best_bits >> (h * len), len))
+    let space = assignment_space(len * num_levels)?;
+    let slots: Vec<(usize, usize)> = (0..num_levels)
+        .flat_map(|h| (0..len).map(move |l| (h, l)))
         .collect();
-    Ok((best_cost as f64, levels))
+    let mut pricer = terms.flip_pricer(&vec![vec![Parallelism::Data; len]; num_levels]);
+    let mut best = (pricer.total(), 0u64);
+    // Step i flips slot trailing_zeros(i) and reaches pattern i ^ (i >> 1);
+    // the tuple minimum breaks cost ties toward the smaller pattern.
+    for step in space.skip(1) {
+        let (h, l) = slots[step.trailing_zeros() as usize];
+        best = best.min((pricer.flip(h, l), step ^ (step >> 1)));
+    }
+    let levels = (0..num_levels)
+        .map(|h| assignment_from_bits(best.1 >> (h * len), len))
+        .collect();
+    Ok((best.0, levels))
 }
 
 #[cfg(test)]
@@ -210,6 +237,95 @@ mod tests {
 
     fn view(name: &str) -> NetworkCommTensors {
         NetworkCommTensors::from_network(&zoo::by_name(name).unwrap(), 256).unwrap()
+    }
+
+    /// The joint search as it ran before the Gray walk: every pattern in
+    /// counting order, each priced whole; the first minimum wins.  Kept
+    /// as the oracle [`best_joint_terms`] must reproduce.
+    fn best_by_counting(terms: &CostTerms, num_levels: usize) -> (u128, Vec<Vec<Parallelism>>) {
+        let len = terms.num_layers();
+        let mut levels = vec![vec![Parallelism::Data; len]; num_levels];
+        let (best_cost, best_bits) = assignment_space(len * num_levels)
+            .unwrap()
+            .map(|bits| {
+                for (h, level) in levels.iter_mut().enumerate() {
+                    for (l, choice) in level.iter_mut().enumerate() {
+                        *choice = Parallelism::from_bit(bits >> (h * len + l) & 1 == 1);
+                    }
+                }
+                (terms.total(&levels, JunctionScaling::Consumer), bits)
+            })
+            .min_by_key(|&(cost, _)| cost)
+            .unwrap_or_default();
+        let levels = (0..num_levels)
+            .map(|h| assignment_from_bits(best_bits >> (h * len), len))
+            .collect();
+        (best_cost, levels)
+    }
+
+    /// A layer with the given weight, output and junction counts.
+    fn layer(weights: f64, outputs: f64, junction: f64) -> LayerCommTensors {
+        LayerCommTensors {
+            name: "l".to_owned(),
+            is_conv: false,
+            weight_elems: weights,
+            input_elems: 0.0,
+            output_elems: outputs,
+            junction_elems: junction,
+        }
+    }
+
+    #[test]
+    fn gray_walk_matches_the_counting_oracle_on_the_chain_zoo() {
+        // Every chain zoo case of at most 16 slots, at five batches.
+        let mut cases = 0;
+        for name in zoo::NAMES {
+            for batch in [1, 7, 64, 256, 4127] {
+                let net =
+                    NetworkCommTensors::from_network(&zoo::by_name(name).unwrap(), batch).unwrap();
+                let terms = CostTerms::chain(&net);
+                for depth in (0..=16).take_while(|depth| net.len() * depth <= 16) {
+                    assert_eq!(
+                        best_joint_terms(&terms, depth).unwrap(),
+                        best_by_counting(&terms, depth),
+                        "{name} b{batch} H{depth}"
+                    );
+                    cases += 1;
+                }
+            }
+        }
+        assert!(cases >= 50, "covered {cases} cases");
+    }
+
+    #[test]
+    fn all_tied_plans_go_to_the_all_dp_pattern() {
+        // Zero counts: all 2^12 plans cost 0, and pattern 0 wins.
+        let zero = (0..4).map(|_| layer(0.0, 0.0, 0.0)).collect();
+        let terms = CostTerms::chain(&NetworkCommTensors::from_layers("zero", 1, zero));
+        let found = best_joint_terms(&terms, 3).unwrap();
+        assert_eq!(found, (0, vec![vec![Parallelism::Data; 4]; 3]));
+        assert_eq!(found, best_by_counting(&terms, 3));
+    }
+
+    #[test]
+    fn equal_minima_go_to_the_smaller_pattern() {
+        // Layer 0 has W = O, so with layer 1 mp it costs the same either
+        // way: patterns 0b10 and 0b11 tie at 20 + 10 + 1 = 31, below
+        // 0b00 (220) and 0b01 (221).  The Gray walk reaches 0b11 first;
+        // counting order reaches 0b10 first, and it must win.
+        let net = NetworkCommTensors::from_layers(
+            "tie",
+            1,
+            vec![layer(10.0, 10.0, 1.0), layer(100.0, 5.0, 0.0)],
+        );
+        let terms = CostTerms::chain(&net);
+        let mp_only_one = vec![vec![Parallelism::Data, Parallelism::Model]];
+        assert_eq!(terms.total(&mp_only_one, JunctionScaling::Consumer), 31);
+        let both_mp = vec![vec![Parallelism::Model; 2]];
+        assert_eq!(terms.total(&both_mp, JunctionScaling::Consumer), 31);
+        let found = best_joint_terms(&terms, 1).unwrap();
+        assert_eq!(found, (31, mp_only_one));
+        assert_eq!(found, best_by_counting(&terms, 1));
     }
 
     #[test]

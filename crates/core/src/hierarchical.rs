@@ -115,7 +115,8 @@ mod tests {
         // Figure 9's peak is H1 = 0011 and H4 = 0011 (conv dp, fc mp).  Our
         // model reproduces H1 exactly; at H4 the tiny fc2 layer (5,000
         // weights) sits on a 2.4% dp/mp knife edge, so only conv-dp and
-        // fc1-mp are asserted there (see EXPERIMENTS.md).
+        // fc1-mp are asserted there (see the README section "Reproducing
+        // the paper").
         let plan = partition(&view("Lenet-c"), 4);
         assert_eq!(plan.level_bits(0), "0011");
         assert!(

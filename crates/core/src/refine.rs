@@ -12,15 +12,17 @@
 //! termination is guaranteed (the assignment space is finite); a sweep
 //! cap bounds the worst case anyway.
 //!
-//! The pass is cost-model agnostic: callers supply an exact integer
-//! evaluator, so the same loop refines a chain ([`refine_partition_reported`])
-//! and a segment graph — the service's one pipeline, where a chain is the
-//! one-segment case and agrees flip for flip (`hypar_graph::refine`) —
-//! each against [`hypar_comm::CostTerms::total`].  In FlexFlow terms this is a deterministic
-//! local search over the strategy space the MCMC sampler explores; in
-//! Tofu terms, a per-group re-decision under the committed remainder.
+//! The same loop refines a chain ([`refine_partition_reported`]) and a
+//! segment graph — the service's one pipeline, where a chain is the
+//! one-segment case and agrees flip for flip (`hypar_graph::refine`).
+//! Both hand it their [`CostTerms`], and it prices each candidate flip
+//! exactly in `O(1 + degree)` with a [`hypar_comm::FlipPricer`] — the
+//! candidate plan's [`CostTerms::total`], without summing the whole
+//! plan.  In FlexFlow terms this is a deterministic local search over the
+//! strategy space the MCMC sampler explores; in Tofu terms, a per-group
+//! re-decision under the committed remainder.
 
-use hypar_comm::{CostTerms, JunctionScaling, Parallelism};
+use hypar_comm::{CostTerms, Parallelism};
 use serde::Serialize;
 
 /// Hard cap on full sweeps over the plan.  Each accepted flip strictly
@@ -36,7 +38,7 @@ pub struct DescentReport {
     pub sweeps: usize,
     /// Bit flips accepted.
     pub flips: u64,
-    /// Cost of the seed plan, in the caller's evaluator units.
+    /// Cost of the seed plan, in tensor elements.
     pub seed_cost: f64,
     /// Cost after refinement (`<= seed_cost`).
     pub refined_cost: f64,
@@ -57,8 +59,10 @@ impl DescentReport {
 
 /// Coordinate descent over a plan's dp/mp bits: for each layer (in
 /// `layer_order`, outermost loop) and each level (top first), flip the
-/// bit, keep the flip iff the caller's `cost` strictly decreases, and
-/// sweep again until a full sweep accepts nothing (or [`MAX_SWEEPS`]).
+/// bit, keep the flip iff the plan's exact
+/// [`hypar_comm::JunctionScaling::Consumer`] total under `terms` strictly
+/// decreases, and sweep again until a full sweep accepts nothing (or
+/// [`MAX_SWEEPS`]).
 ///
 /// `layer_order` is the per-sweep layer visiting order — callers put the
 /// layers whose bits interact most (e.g. segment-boundary layers priced
@@ -66,37 +70,36 @@ impl DescentReport {
 /// outside `layer_order` are never touched; duplicate entries are legal
 /// and simply revisit the layer within the sweep.
 ///
-/// `cost` is called with the full candidate plan and must be a pure
-/// function of it.  Strict-improvement acceptance on exact integers makes
-/// the sequence of accepted costs strictly decreasing, so the returned
-/// plan never costs more than the seed; the report rounds them to `f64`.
+/// Each candidate is priced in `O(1 + degree)` by a
+/// [`hypar_comm::FlipPricer`], exactly the candidate plan's
+/// [`CostTerms::total`].  Strict-improvement acceptance on exact integers
+/// makes the sequence of accepted costs strictly decreasing, so the
+/// returned plan never costs more than the seed; the report rounds them
+/// to `f64`.
 ///
 /// # Panics
 ///
-/// Panics if `layer_order` indexes a layer some level does not cover.
+/// Panics if a level does not cover every layer of `terms`, or
+/// `layer_order` indexes a layer `terms` does not hold.
 pub fn descend(
     levels: &mut [Vec<Parallelism>],
     layer_order: &[usize],
-    mut cost: impl FnMut(&[Vec<Parallelism>]) -> u128,
+    terms: &CostTerms,
 ) -> DescentReport {
-    let seed_cost = cost(levels);
-    let mut current = seed_cost;
+    let mut pricer = terms.flip_pricer(levels);
+    let seed_cost = pricer.total();
     let mut flips = 0u64;
     let mut sweeps = 0usize;
     while sweeps < MAX_SWEEPS {
         sweeps += 1;
         let mut improved = false;
         for &l in layer_order {
-            for h in 0..levels.len() {
-                let old = levels[h][l];
-                levels[h][l] = old.flipped();
-                let candidate = cost(levels);
-                if candidate < current {
-                    current = candidate;
+            for (h, level) in levels.iter_mut().enumerate() {
+                if pricer.flipped_total(h, l) < pricer.total() {
+                    pricer.flip(h, l);
+                    level[l] = level[l].flipped();
                     flips += 1;
                     improved = true;
-                } else {
-                    levels[h][l] = old;
                 }
             }
         }
@@ -108,7 +111,7 @@ pub fn descend(
         sweeps,
         flips,
         seed_cost: seed_cost as f64,
-        refined_cost: current as f64,
+        refined_cost: pricer.total() as f64,
     }
 }
 
@@ -132,10 +135,7 @@ pub fn refine_partition_reported(
     let seed = crate::hierarchical::partition(net, num_levels);
     let mut levels = seed.levels().to_vec();
     let order: Vec<usize> = (0..net.len()).collect();
-    let terms = CostTerms::chain(net);
-    let report = descend(&mut levels, &order, |candidate| {
-        terms.total(candidate, JunctionScaling::Consumer)
-    });
+    let report = descend(&mut levels, &order, &CostTerms::chain(net));
     let plan = crate::HierarchicalPlan::from_parts(
         net.name(),
         net.layers().iter().map(|l| l.name.clone()).collect(),
@@ -149,11 +149,76 @@ pub fn refine_partition_reported(
 mod tests {
     use super::*;
     use crate::{evaluate::evaluate_plan, exhaustive, hierarchical};
-    use hypar_comm::NetworkCommTensors;
+    use hypar_comm::{JunctionScaling, NetworkCommTensors};
     use hypar_models::zoo;
 
     fn view(name: &str, batch: u64) -> NetworkCommTensors {
         NetworkCommTensors::from_network(&zoo::by_name(name).unwrap(), batch).unwrap()
+    }
+
+    /// The descent as it ran before the flip pricer: every candidate is a
+    /// whole plan priced by `cost`.  Kept as the oracle [`descend`] must
+    /// reproduce flip for flip.
+    fn descend_by_total(
+        levels: &mut [Vec<Parallelism>],
+        layer_order: &[usize],
+        mut cost: impl FnMut(&[Vec<Parallelism>]) -> u128,
+    ) -> DescentReport {
+        let seed_cost = cost(levels);
+        let mut current = seed_cost;
+        let mut flips = 0u64;
+        let mut sweeps = 0usize;
+        while sweeps < MAX_SWEEPS {
+            sweeps += 1;
+            let mut improved = false;
+            for &l in layer_order {
+                for h in 0..levels.len() {
+                    let old = levels[h][l];
+                    levels[h][l] = old.flipped();
+                    let candidate = cost(levels);
+                    if candidate < current {
+                        current = candidate;
+                        flips += 1;
+                        improved = true;
+                    } else {
+                        levels[h][l] = old;
+                    }
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        DescentReport {
+            sweeps,
+            flips,
+            seed_cost: seed_cost as f64,
+            refined_cost: current as f64,
+        }
+    }
+
+    #[test]
+    fn descent_matches_the_whole_plan_oracle_on_the_chain_zoo() {
+        // Levels and the whole report, flip for flip, from Algorithm 2's
+        // seed: every chain zoo net at H0–16 and five batches.
+        for name in zoo::NAMES {
+            for batch in [1, 7, 64, 256, 4127] {
+                let net = view(name, batch);
+                let terms = CostTerms::chain(&net);
+                let order: Vec<usize> = (0..net.len()).collect();
+                for depth in 0..=16 {
+                    let seed = hierarchical::partition(&net, depth);
+                    let mut fast = seed.levels().to_vec();
+                    let mut slow = fast.clone();
+                    let report = descend(&mut fast, &order, &terms);
+                    let oracle = descend_by_total(&mut slow, &order, |c| {
+                        terms.total(c, JunctionScaling::Consumer)
+                    });
+                    assert_eq!(report, oracle, "{name} b{batch} H{depth}");
+                    assert_eq!(fast, slow, "{name} b{batch} H{depth}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -163,10 +228,7 @@ mod tests {
             let seed = hierarchical::partition(&net, levels);
             let mut bits = seed.levels().to_vec();
             let order: Vec<usize> = (0..net.len()).collect();
-            let terms = CostTerms::chain(&net);
-            let report = descend(&mut bits, &order, |c| {
-                terms.total(c, JunctionScaling::Consumer)
-            });
+            let report = descend(&mut bits, &order, &CostTerms::chain(&net));
             assert!(report.refined_cost <= report.seed_cost, "H{levels}");
             assert_eq!(report.seed_cost, seed.total_comm_elems(), "H{levels}");
             assert_eq!(

@@ -10,15 +10,14 @@
 //! planner's *greedy gap* can be quantified on small branchy networks the
 //! way Figures 9/10 quantify it for chains.
 //!
-//! The enumeration shares [`hypar_core::exhaustive`]'s validated
-//! [`AssignmentSpace`](hypar_core::exhaustive::AssignmentSpace) and
-//! feasibility bound; for a chain (one segment, no edges) the search —
-//! iteration order, cost, and tie-breaking — is bit-identical to
-//! [`hypar_core::exhaustive::best_joint`] on that chain
+//! The enumeration is [`hypar_core::exhaustive::best_joint_terms`] — one
+//! Gray-code walk pricing each flip in `O(1 + degree)`, under the same
+//! feasibility bound — on the whole graph's cost terms; for a chain (one
+//! segment, no edges) the search — cost and tie-breaking — is
+//! bit-identical to [`hypar_core::exhaustive::best_joint`] on that chain
 //! (property-tested).
 
-use hypar_comm::{JunctionScaling, Parallelism};
-use hypar_core::exhaustive::{assignment_from_bits, assignment_space, ExhaustiveError};
+use hypar_core::exhaustive::{best_joint_terms, ExhaustiveError};
 use hypar_core::HierarchicalPlan;
 
 use crate::plan::cost_terms;
@@ -30,12 +29,12 @@ use crate::segments::SegmentCommGraph;
 /// The returned plan concatenates the layers in canonical segment order —
 /// the same layout [`crate::stitch`] produces — and its total is directly
 /// comparable to the stitched planner's: candidates are compared by the
-/// exact total [`crate::evaluate_graph_plan`] rounds, the first minimum
-/// in enumeration order wins.  The joint optimum is therefore a lower
-/// bound on every stitched plan's cost.
+/// exact total [`crate::evaluate_graph_plan`] rounds, and among equal
+/// costs the smallest bit pattern wins.  The joint optimum is therefore a
+/// lower bound on every stitched plan's cost.
 ///
-/// Bit `h·L + l` of the enumeration is layer `l`'s choice at level `h`
-/// (LSB first, `0` = dp, `1` = mp) — for a single-segment graph this is
+/// Bit `h·L + l` of a pattern is layer `l`'s choice at level `h` (LSB
+/// first, `0` = dp, `1` = mp) — for a single-segment graph this is
 /// exactly [`hypar_core::exhaustive::best_joint`]'s layout.
 ///
 /// # Errors
@@ -59,28 +58,7 @@ pub fn best_joint_graph(
     graph: &SegmentCommGraph,
     num_levels: usize,
 ) -> Result<HierarchicalPlan, ExhaustiveError> {
-    let num_layers = graph.num_layers();
-    if num_layers == 0 {
-        return Err(ExhaustiveError::Empty);
-    }
-    let space = assignment_space(num_layers * num_levels)?;
-    let terms = cost_terms(graph);
-    let mut levels = vec![vec![Parallelism::Data; num_layers]; num_levels];
-    let (best_cost, best_bits) = space
-        .map(|bits| {
-            for (h, level) in levels.iter_mut().enumerate() {
-                for (l, choice) in level.iter_mut().enumerate() {
-                    *choice = Parallelism::from_bit(bits >> (h * num_layers + l) & 1 == 1);
-                }
-            }
-            (terms.total(&levels, JunctionScaling::Consumer), bits)
-        })
-        .min_by_key(|&(cost, _)| cost)
-        .unwrap_or_default();
-
-    let levels: Vec<Vec<Parallelism>> = (0..num_levels)
-        .map(|h| assignment_from_bits(best_bits >> (h * num_layers), num_layers))
-        .collect();
+    let (best_cost, levels) = best_joint_terms(&cost_terms(graph), num_levels)?;
     let names = graph
         .segments()
         .iter()

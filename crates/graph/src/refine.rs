@@ -13,20 +13,19 @@
 //! Tofu's per-group DP recursion: seed from the stitched plan, then run
 //! [`hypar_core::refine::descend`] — coordinate descent that re-decides
 //! each layer's per-level dp/mp bit against the **true whole-graph cost**
-//! ([`crate::evaluate_graph_plan`]: intra-segment traffic plus junction
-//! pricing), sweeping segment-**boundary** layers first (they are the
-//! ones the stitcher priced blindly), iterating to a fixed point under
-//! strict-improvement acceptance so the cost decreases monotonically and
-//! the refined plan never exceeds the stitched one.
+//! (the total [`crate::evaluate_graph_plan`] rounds: intra-segment
+//! traffic plus junction pricing), sweeping segment-**boundary** layers
+//! first (they are the ones the stitcher priced blindly), iterating to a
+//! fixed point under strict-improvement acceptance so the cost decreases
+//! monotonically and the refined plan never exceeds the stitched one.
 //!
-//! One sweep is `O(L·H)` bit re-decisions, each an `O((L + E)·H)`
-//! integer evaluation of the whole graph's cost terms, built once per
-//! pass, and the sweep count is capped
+//! One sweep is `O(L·H)` bit re-decisions, each priced exactly in
+//! `O(1 + degree)` by a [`hypar_comm::FlipPricer`] over the whole graph's
+//! cost terms, built once per pass, and the sweep count is capped
 //! ([`hypar_core::refine::MAX_SWEEPS`]) — polynomial throughout, so
 //! refinement runs where the exhaustive search is a typed rejection
 //! (ResNet-18 at `H = 4` is 84 slots).
 
-use hypar_comm::JunctionScaling;
 use hypar_core::refine::{descend, DescentReport};
 use hypar_core::HierarchicalPlan;
 
@@ -100,10 +99,7 @@ pub fn refine_graph_plan(
     let mut levels = seed.levels().to_vec();
     check_graph_levels(graph, &levels)?;
     let order = boundary_first_order(graph);
-    let terms = cost_terms(graph);
-    let report = descend(&mut levels, &order, |candidate| {
-        terms.total(candidate, JunctionScaling::Consumer)
-    });
+    let report = descend(&mut levels, &order, &cost_terms(graph));
     let refined = HierarchicalPlan::from_parts(
         graph.name(),
         seed.layer_names().to_vec(),

@@ -159,9 +159,103 @@ pub fn inception_mini() -> DagNetwork {
     g.build().expect("Inception-Mini is a valid graph")
 }
 
+/// The trimmed branchy nets of the `greedy_gap_branchy` experiment, small
+/// enough for the joint exhaustive search: Tiny-Res (3 layers), Res-Proj
+/// (4), Inception-Trim (4) and Res-Pair (6).  They are not in [`NAMES`],
+/// so the service does not resolve them.
+#[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "static zoo literals validated by the structure tests; no service input reaches these builders"
+)]
+pub fn trimmed() -> Vec<DagNetwork> {
+    [tiny_res(), res_proj(), inception_trim(), res_pair()]
+        .iter()
+        .map(|g| g.build().expect("trimmed nets are valid graphs"))
+        .collect()
+}
+
+/// A single residual block — the smallest branchy shape: stem and body
+/// convolutions `add`-joined into a classifier (3 layers, 3 segments).
+fn tiny_res() -> GraphBuilder {
+    let mut g = GraphBuilder::new("Tiny-Res", FeatureDims::new(8, 16, 16));
+    g.conv("stem", ConvSpec::same(8, 3), INPUT)
+        .conv("body", ConvSpec::same(8, 3), "stem")
+        .add("join", &["stem", "body"])
+        .fully_connected("fc", 10, "join");
+    g
+}
+
+/// A downsampling residual block with a 1×1 projection skip — the
+/// ResNet stage-entry pattern (4 layers, 4 segments).
+fn res_proj() -> GraphBuilder {
+    let mut g = GraphBuilder::new("Res-Proj", FeatureDims::new(8, 16, 16));
+    g.conv("stem", ConvSpec::same(8, 3), INPUT)
+        .conv(
+            "body",
+            ConvSpec {
+                out_channels: 16,
+                kernel: 3,
+                stride: 2,
+                padding: 1,
+            },
+            "stem",
+        )
+        .conv(
+            "proj",
+            ConvSpec {
+                out_channels: 16,
+                kernel: 1,
+                stride: 2,
+                padding: 0,
+            },
+            "stem",
+        )
+        .add("join", &["body", "proj"])
+        .fully_connected("fc", 10, "join");
+    g
+}
+
+/// A trimmed Inception module: two convolution branches concatenated into
+/// a classifier (4 layers, 4 segments).
+fn inception_trim() -> GraphBuilder {
+    let mut g = GraphBuilder::new("Inception-Trim", FeatureDims::new(8, 16, 16));
+    g.conv("stem", ConvSpec::same(16, 3), INPUT)
+        .conv("b1x1", ConvSpec::same(8, 1), "stem")
+        .conv("b3x3", ConvSpec::same(8, 3), "stem")
+        .concat("mixed", &["b1x1", "b3x3"])
+        .fully_connected("fc", 10, "mixed");
+    g
+}
+
+/// Two stacked residual blocks with two-convolution bodies — the deepest
+/// trimmed net (6 layers, 4 segments).
+fn res_pair() -> GraphBuilder {
+    let mut g = GraphBuilder::new("Res-Pair", FeatureDims::new(8, 8, 8));
+    g.conv("stem", ConvSpec::same(8, 3), INPUT)
+        .conv("b1_a", ConvSpec::same(8, 3), "stem")
+        .conv("b1_b", ConvSpec::same(8, 3), "b1_a")
+        .add("b1", &["b1_b", "stem"])
+        .conv("b2_a", ConvSpec::same(8, 3), "b1")
+        .conv("b2_b", ConvSpec::same(8, 3), "b2_a")
+        .add("b2", &["b2_b", "b1"])
+        .fully_connected("fc", 10, "b2");
+    g
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn trimmed_nets_are_small_branchy_and_unlisted() {
+        for (dag, layers) in trimmed().iter().zip([3, 4, 4, 6]) {
+            let graph = dag.segments(64).unwrap();
+            assert_eq!(graph.num_layers(), layers, "{}", dag.name());
+            assert!(graph.num_segments() > 1, "{}", dag.name());
+            assert!(by_name(dag.name()).is_none(), "{}", dag.name());
+        }
+    }
 
     #[test]
     fn resnet18_structure() {

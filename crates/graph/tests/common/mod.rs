@@ -2,6 +2,7 @@
 
 #![expect(clippy::expect_used, reason = "generators fail by panicking")]
 
+use hypar_comm::CostTerms;
 use hypar_graph::{GraphBuilder, SegmentCommGraph, INPUT};
 use hypar_models::ConvSpec;
 use hypar_tensor::FeatureDims;
@@ -55,4 +56,22 @@ pub fn arb_tiny_residual() -> impl Strategy<Value = TinyResidual> {
             out,
         },
     )
+}
+
+/// The graph's cost terms, built from its public parts: each segment's
+/// chain, then one pair per inter-segment edge.
+pub fn terms(graph: &SegmentCommGraph) -> CostTerms {
+    let mut terms = CostTerms::default();
+    let mut first = Vec::new();
+    let mut offset = 0;
+    for segment in graph.segments() {
+        first.push(offset);
+        terms.push_chain(segment);
+        offset += segment.len();
+    }
+    for edge in graph.edges() {
+        let last = first[edge.from] + graph.segment(edge.from).len() - 1;
+        terms.push_pair(last, first[edge.to], edge.elems);
+    }
+    terms
 }

@@ -8,7 +8,10 @@
 //! ([`CostTerms::total`], reached through [`evaluate_graph_plan`], the
 //! stitcher and the ablation's [`partition_graph_with`]) must equal it on
 //! random residual blocks and the branchy zoo, in every junction mode,
-//! at H0–16 and batches 1–4,300.
+//! at H0–16 and batches 1–4,300.  The flip pricer
+//! ([`CostTerms::flip_pricer`]) must price every single-bit flip of those
+//! plans, and of the trimmed nets', as the flipped plan's exact Consumer
+//! total.
 
 #![expect(
     clippy::float_cmp,
@@ -18,7 +21,7 @@
 
 mod common;
 
-use common::arb_tiny_residual;
+use common::{arb_tiny_residual, terms};
 use hypar_comm::{
     inter_elems, junction_scale_between, level_cost, CostTerms, JunctionScaling, LayerScale,
     Parallelism, ScaleState,
@@ -59,23 +62,6 @@ fn oracle(graph: &SegmentCommGraph, levels: &[Vec<Parallelism>], mode: JunctionS
         }
     }
     total
-}
-
-/// The graph's terms, built from its public parts.
-fn terms(graph: &SegmentCommGraph) -> CostTerms {
-    let mut terms = CostTerms::default();
-    let mut first = Vec::new();
-    let mut offset = 0;
-    for segment in graph.segments() {
-        first.push(offset);
-        terms.push_chain(segment);
-        offset += segment.len();
-    }
-    for edge in graph.edges() {
-        let last = first[edge.from] + graph.segment(edge.from).len() - 1;
-        terms.push_pair(last, first[edge.to], edge.elems);
-    }
-    terms
 }
 
 /// The Consumer closed form, `Σ_l 2W(2^k − 1) + 2O(2^(H−k) − 1) +
@@ -147,6 +133,39 @@ fn check(graph: &SegmentCommGraph, depth: usize, seed: u64) {
     let consumer = oracle(graph, &plan, JunctionScaling::Consumer);
     assert_eq!(evaluate_graph_plan(graph, &plan).unwrap(), consumer);
     assert_eq!(closed_form(graph, &plan), consumer);
+    check_flips(&terms, plan, seed);
+}
+
+/// The flip pricer is exact: every single-bit flip it prices is the
+/// flipped plan's Consumer total, and after a seeded sequence of flips its
+/// running total is the final plan's.
+fn check_flips(terms: &CostTerms, mut plan: Vec<Vec<Parallelism>>, seed: u64) {
+    let consumer = |plan: &[Vec<Parallelism>]| terms.total(plan, JunctionScaling::Consumer);
+    let mut pricer = terms.flip_pricer(&plan);
+    assert_eq!(pricer.total(), consumer(&plan));
+    let layers = terms.num_layers();
+    for h in 0..plan.len() {
+        for l in 0..layers {
+            plan[h][l] = plan[h][l].flipped();
+            assert_eq!(pricer.flipped_total(h, l), consumer(&plan), "({h}, {l})");
+            plan[h][l] = plan[h][l].flipped();
+        }
+    }
+    let slots = plan.len() * layers;
+    if slots == 0 {
+        return;
+    }
+    let mut state = seed | 1;
+    for _ in 0..64 {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let slot = usize::try_from(state % slots as u64).unwrap();
+        let (h, l) = (slot / layers, slot % layers);
+        plan[h][l] = plan[h][l].flipped();
+        assert_eq!(pricer.flip(h, l), consumer(&plan), "flip ({h}, {l})");
+    }
+    assert_eq!(pricer.total(), consumer(&plan));
 }
 
 proptest! {
@@ -173,5 +192,20 @@ proptest! {
     ) {
         let graph = zoo::by_name(zoo::NAMES[index]).unwrap().segments(batch).unwrap();
         check(&graph, depth, seed);
+    }
+}
+
+/// The trimmed nets, at every depth up to 16 and five batches.
+#[test]
+fn flips_are_exact_on_the_trimmed_nets() {
+    for dag in zoo::trimmed() {
+        for batch in [1, 7, 64, 256, 4127] {
+            let graph = dag.segments(batch).unwrap();
+            for depth in 0..=16 {
+                let seed = batch * 17 + depth;
+                let plan = random_plan(graph.num_layers(), usize::try_from(depth).unwrap(), seed);
+                check_flips(&terms(&graph), plan, seed);
+            }
+        }
     }
 }

@@ -14,13 +14,25 @@
 //!   the same total), and the two searches break ties from different
 //!   directions — so the certificate is the evaluated cost of each
 //!   plan's own bits under the shared whole-graph model.
+//!
+//! And one oracle: the descent prices each candidate flip with a
+//! [`hypar_comm::FlipPricer`], and must reproduce — levels and the whole
+//! [`DescentReport`] — the descent that priced every candidate as a
+//! whole plan with [`CostTerms::total`].
 
-#![expect(clippy::expect_used, reason = "helpers fail by panicking")]
+#![expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "helpers fail by panicking"
+)]
 
 mod common;
 
-use common::arb_tiny_residual;
+use common::{arb_tiny_residual, terms};
+use hypar_comm::{CostTerms, JunctionScaling, Parallelism};
+use hypar_core::refine::{DescentReport, MAX_SWEEPS};
 use hypar_core::HierarchicalPlan;
+use hypar_graph::refine::boundary_first_order;
 use hypar_graph::{
     best_joint_graph, evaluate_graph_plan, partition_graph, refine_graph_plan, zoo,
     SegmentCommGraph,
@@ -35,8 +47,87 @@ fn refined(graph: &SegmentCommGraph, levels: usize) -> HierarchicalPlan {
         .0
 }
 
+/// The descent as it ran before the flip pricer: every candidate is a
+/// whole plan priced by `cost`.
+fn descend_by_total(
+    levels: &mut [Vec<Parallelism>],
+    layer_order: &[usize],
+    mut cost: impl FnMut(&[Vec<Parallelism>]) -> u128,
+) -> DescentReport {
+    let seed_cost = cost(levels);
+    let mut current = seed_cost;
+    let mut flips = 0u64;
+    let mut sweeps = 0usize;
+    while sweeps < MAX_SWEEPS {
+        sweeps += 1;
+        let mut improved = false;
+        for &l in layer_order {
+            for h in 0..levels.len() {
+                let old = levels[h][l];
+                levels[h][l] = old.flipped();
+                let candidate = cost(levels);
+                if candidate < current {
+                    current = candidate;
+                    flips += 1;
+                    improved = true;
+                } else {
+                    levels[h][l] = old;
+                }
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+    DescentReport {
+        sweeps,
+        flips,
+        seed_cost: seed_cost as f64,
+        refined_cost: current as f64,
+    }
+}
+
+/// `refine_graph_plan` from the stitched seed against the whole-plan
+/// oracle over the same visiting order: equal levels, equal report.
+fn assert_descent_matches_the_oracle(graph: &SegmentCommGraph, depth: usize) {
+    let stitched = partition_graph(graph, depth).unwrap();
+    let (plan, report) = refine_graph_plan(graph, &stitched).unwrap();
+    let terms: CostTerms = terms(graph);
+    let mut levels = stitched.levels().to_vec();
+    let oracle = descend_by_total(&mut levels, &boundary_first_order(graph), |c| {
+        terms.total(c, JunctionScaling::Consumer)
+    });
+    let case = format!("{} b{} H{depth}", graph.name(), graph.batch());
+    assert_eq!(report, oracle, "{case}");
+    assert_eq!(plan.levels(), &levels[..], "{case}");
+}
+
+/// The branchy zoo and the trimmed nets, H0–16, five batches.
+#[test]
+fn descent_matches_the_whole_plan_oracle_on_both_branchy_sets() {
+    for dag in zoo::all().iter().chain(&zoo::trimmed()) {
+        for batch in [1, 7, 64, 256, 4127] {
+            let graph = dag.segments(batch).unwrap();
+            for depth in 0..=16 {
+                assert_descent_matches_the_oracle(&graph, depth);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random residual DAGs: the descent reproduces the whole-plan oracle
+    /// flip for flip.
+    #[test]
+    fn descent_matches_the_whole_plan_oracle_on_random_residuals(
+        spec in arb_tiny_residual(),
+        levels in 0usize..17,
+        batch in 1u64..4301,
+    ) {
+        assert_descent_matches_the_oracle(&spec.graph(batch), levels);
+    }
 
     /// The refined plan never costs more than the stitched plan it was
     /// seeded from, whatever the graph, depth, or batch.

@@ -5,7 +5,8 @@
 //!   network.
 //! * [`lenet_c`] is the classic Caffe LeNet for MNIST and [`cifar_c`] the
 //!   Caffe `cifar10_quick` network for CIFAR-10 (with 2×2 pooling; the
-//!   paper does not list its exact variant — see EXPERIMENTS.md).
+//!   paper does not list its exact variant — see the README section
+//!   "Reproducing the paper").
 //! * [`alexnet`] is the single-tower AlexNet and [`vgg_a`]..[`vgg_e`] the
 //!   VGG configurations A–E of Simonyan & Zisserman.
 //!
