@@ -1,7 +1,9 @@
 //! Tables 1–3: the communication model's worked examples and the SFC/SCONV
 //! hyper-parameters.
 
-use hypar_comm::{inter_elems, intra_bytes, LayerCommTensors, LayerScale, Parallelism};
+use hypar_comm::{
+    CostTerms, JunctionScaling, LayerCommTensors, NetworkCommTensors, Parallelism, PRECISION_BYTES,
+};
 use hypar_models::zoo;
 use serde::Serialize;
 
@@ -29,13 +31,28 @@ pub fn table1() -> Table1 {
         (8, 8),
         (8, 8),
     );
-    let rows = [fc, conv]
-        .iter()
-        .map(|layer| {
+    let names = [fc.name.clone(), conv.name.clone()];
+    let terms = CostTerms::chain(&NetworkCommTensors::from_layers(
+        "table1",
+        32,
+        vec![fc, conv],
+    ));
+    // The top level's terms: one group pair, nothing split yet.
+    let bytes = |l: usize, choice: Parallelism| {
+        hypar_tensor::Bytes::from_elems(
+            terms.layer_term(l, choice, 0, &[0, 0]) as f64,
+            PRECISION_BYTES,
+        )
+        .value()
+    };
+    let rows = names
+        .into_iter()
+        .enumerate()
+        .map(|(l, name)| {
             (
-                layer.name.clone(),
-                intra_bytes(Parallelism::Data, layer, LayerScale::default()).value(),
-                intra_bytes(Parallelism::Model, layer, LayerScale::default()).value(),
+                name,
+                bytes(l, Parallelism::Data),
+                bytes(l, Parallelism::Model),
             )
         })
         .collect();
@@ -73,11 +90,19 @@ pub struct Table2 {
 #[must_use]
 pub fn table2() -> Table2 {
     use Parallelism::{Data, Model};
+    // Two 1x1 fc layers at batch 1: a one-element junction tensor.
+    let unit = || LayerCommTensors::fully_connected("unit", 1, 1, 1);
+    let terms = CostTerms::chain(&NetworkCommTensors::from_layers(
+        "table2",
+        1,
+        vec![unit(), unit()],
+    ));
     let rows = [(Data, Data), (Data, Model), (Model, Model), (Model, Data)]
         .iter()
         .map(|&(a, b)| {
             // One-way fraction of the junction tensor (the paper's table).
-            (format!("{a}-{b}"), inter_elems(a, b, 1.0, 1.0) / 2.0)
+            let elems = terms.pair_term(0, (a, b), 0, &[0, 0], JunctionScaling::Consumer);
+            (format!("{a}-{b}"), elems as f64 / 2.0)
         })
         .collect();
     Table2 { rows }

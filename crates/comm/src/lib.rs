@@ -6,10 +6,10 @@
 //! * **intra-layer** communication (Table 1) — partial-sum exchanges caused
 //!   by the parallelism chosen *for* a layer: gradient all-reduce under
 //!   data parallelism, output-activation all-reduce under model
-//!   parallelism ([`intra_elems`]);
+//!   parallelism ([`CostTerms::layer_term`]);
 //! * **inter-layer** communication (Table 2) — redistribution of the
 //!   feature/error maps at the junction between two adjacent layers when
-//!   their parallelisms differ in layout ([`inter_elems`]).
+//!   their parallelisms differ in layout ([`CostTerms::pair_term`]).
 //!
 //! Amounts are tensor **element counts crossing the link between the two
 //! groups, both directions included** — the convention of the paper's
@@ -17,10 +17,11 @@
 //! Multiply by [`PRECISION_BYTES`] for bytes.
 //!
 //! The hierarchical partition re-applies the model at every level of a
-//! binary accelerator hierarchy; [`ScaleState`] tracks how each layer's
-//! tensors shrink as upper levels commit to dp (batch halves) or mp
-//! (kernel input dimension halves) — the README section "The cost model:
-//! one exact evaluator" derives the per-level terms.
+//! binary accelerator hierarchy, where the choices above have shrunk each
+//! layer's tensors by powers of two.  [`CostTerms`] holds a network's
+//! integer counts and gives each level's amounts as exact integer terms,
+//! from a layer's count of dp levels above — the README section "The cost
+//! model: one exact evaluator" derives them.
 //!
 //! # Examples
 //!
@@ -28,13 +29,14 @@
 //! batch 32 — where model parallelism beats data parallelism:
 //!
 //! ```
-//! use hypar_comm::{intra_bytes, LayerCommTensors, LayerScale, Parallelism};
+//! use hypar_comm::{CostTerms, LayerCommTensors, NetworkCommTensors, Parallelism};
 //!
 //! let fc = LayerCommTensors::fully_connected("fc", 32, 70, 100);
-//! let dp = intra_bytes(Parallelism::Data, &fc, LayerScale::default());
-//! let mp = intra_bytes(Parallelism::Model, &fc, LayerScale::default());
-//! assert_eq!(dp.value(), 56_000.0);  // 2 x 70x100 x 4 B
-//! assert_eq!(mp.value(), 25_600.0);  // 2 x 32x100 x 4 B
+//! let terms = CostTerms::chain(&NetworkCommTensors::from_layers("fc", 32, vec![fc]));
+//! let dp = terms.layer_term(0, Parallelism::Data, 0, &[0]);
+//! let mp = terms.layer_term(0, Parallelism::Model, 0, &[0]);
+//! assert_eq!(dp * 4, 56_000);  // 2 x 70x100 x 4 B
+//! assert_eq!(mp * 4, 25_600);  // 2 x 32x100 x 4 B
 //! assert!(mp < dp);
 //! ```
 
@@ -46,21 +48,18 @@
     expect(
         clippy::float_cmp,
         clippy::let_underscore_must_use,
-        clippy::cast_possible_truncation,
         reason = "unit tests assert exact values and discard results they do not inspect"
     )
 )]
 
-mod cost;
-mod model;
 mod parallelism;
-mod scale;
 mod tensors;
 mod terms;
 
-pub use cost::{level_cost, LevelCost};
-pub use model::{inter_bytes, inter_elems, inter_split, intra_bytes, intra_elems, PRECISION_BYTES};
 pub use parallelism::Parallelism;
-pub use scale::{junction_scale_between, JunctionScaling, LayerScale, ScaleState};
 pub use tensors::{LayerCommTensors, NetworkCommTensors};
-pub use terms::{CostTerms, FlipPricer};
+pub use terms::{count_dp, CostTerms, FlipPricer, JunctionScaling};
+
+/// Bytes per tensor element: the paper computes with 32-bit floating
+/// point throughout (§6.1).
+pub const PRECISION_BYTES: u32 = 4;

@@ -207,6 +207,18 @@ mod tests {
     }
 
     #[test]
+    fn section_652_vgg_e_conv5_and_fc3() {
+        // §6.5.2: conv5 of VGG-E at b32: A(ΔW)=2,359,296 < A(F)=3,211,264.
+        let conv5 = LayerCommTensors::conv("conv5", 32, (512, 14, 14), 3, 512, (14, 14), (7, 7));
+        assert_eq!(conv5.weight_elems, 2_359_296.0);
+        assert_eq!(conv5.output_elems, 3_211_264.0);
+        // fc3 at b4096: A(ΔW) = A(F) = 4,096,000.
+        let fc3 = LayerCommTensors::fully_connected("fc3", 4096, 4096, 1000);
+        assert_eq!(fc3.weight_elems, 4_096_000.0);
+        assert_eq!(fc3.output_elems, 4_096_000.0);
+    }
+
+    #[test]
     fn from_network_matches_shape_inference() {
         let view = NetworkCommTensors::from_network(&zoo::lenet_c(), 256).unwrap();
         assert_eq!(view.len(), 4);

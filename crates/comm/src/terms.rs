@@ -1,32 +1,67 @@
-//! The one exact cost evaluator: a plan's total communication as an
-//! integer function over layers and weighted producer/consumer pairs.
+//! The one exact cost model: a plan's communication as integer terms over
+//! layers and weighted producer/consumer pairs, level by level.
 //!
-//! Algorithm 2 weights one group pair's [`crate::level_cost`] at level `h`
-//! by the level's `2^h` pairs, and every scale is a power of two, so each
-//! weighted term is an integer.  With `d_l` the levels above `h` at which
-//! layer `l` is dp, level `h` adds `2·W_l·2^d_l` for a dp layer,
-//! `2·O_l·2^(h − d_l)` for an mp layer, and for a pair `(a, b, J)` that is
-//! not dp→dp `J` ([`JunctionScaling::Consumer`]: the consumer's `2^−h`
-//! fraction cancels the `2^h` pairs), `J·2^(h − d_a)` (Producer) or
-//! `J·2^h` (Unscaled).  Under Consumer scope, with `k_l` the dp levels of
-//! layer `l` and `b_e` the levels where both ends of pair `e` are dp, the
-//! i-th dp level from the top costs `2·W·2^i` (mp mirrors it), so
+//! Algorithm 2 re-runs Algorithm 1 at every level `h` of the hierarchy,
+//! where `2^h` group pairs each see the network with every tensor scaled
+//! by the choices above: a dp level halves a layer's batch, an mp level
+//! its kernel input dimension.  Every scale is a power of two, so each
+//! level's array-wide amount — `2^h` times one pair's Table 1 and Table 2
+//! amounts — is an integer.  With `d` the levels above `h` at which a
+//! layer is dp, level `h` adds ([`CostTerms::layer_term`]):
+//!
+//! * `2·W·2^d` for a dp layer (Table 1: the gradient `2·A(ΔW)`, whose
+//!   kernel only the `h − d` mp levels above have split);
+//! * `2·O·2^(h − d)` for an mp layer (Table 1: the produced output
+//!   `2·A(F_out)`, whose batch only the `d` dp levels above have split);
+//!
+//! and for a pair `(a, b, J)` that is not dp→dp there
+//! ([`CostTerms::pair_term`]; Table 2 moves `J` per pair at full scope) `J`
+//! under [`JunctionScaling::Consumer`] (the consumer's `2^−h` fraction
+//! cancels the `2^h` pairs), `J·2^(h − d_a)` under Producer, or `J·2^h`
+//! Unscaled.  Algorithm 1 minimizes one level's sum
+//! ([`CostTerms::level_total`]); a plan's total sums every level's.
+//!
+//! Under Consumer scope, with `k_l` the dp levels of layer `l` and `b_e`
+//! the levels where both ends of pair `e` are dp, the i-th dp level from
+//! the top costs `2·W·2^i` (mp mirrors it), so
 //!
 //! ```text
 //! total = Σ_l 2·W_l·(2^k_l − 1) + 2·O_l·(2^(H − k_l) − 1)  +  Σ_e J_e·(H − b_e)
 //! ```
 //!
-//! (pinned by the unit tests; [`CostTerms::total`] sums the per-level
-//! terms).  The sum is exact in `u128` for counts below `2^64` at up to 32
-//! levels; counts arrive as `f64` fields, exact below `2^53`, and callers
-//! report the total rounded once to `f64`.
+//! (pinned by the unit tests).  Every term is exact in `u128` for counts
+//! below `2^64` at up to 32 levels; counts arrive as `f64` fields, exact
+//! below `2^53`, and callers report totals rounded once to `f64`.
 //!
 //! The closed form makes one bit flip cheap: flipping layer `l` at level
 //! `h` moves `k_l` by one and `b_e` by one for each incident pair whose
 //! other end is dp at `h`, so a [`FlipPricer`] prices it in
 //! `O(1 + deg l)` instead of a whole `O((L + E)·H)` [`CostTerms::total`].
 
-use crate::{JunctionScaling, NetworkCommTensors, Parallelism};
+use serde::{Deserialize, Serialize};
+
+use crate::{NetworkCommTensors, Parallelism};
+
+/// How the junction tensor between two adjacent layers is scoped when the
+/// hierarchical partition descends a level.
+///
+/// The paper's Table 2 formulas reference `A(F_{l+1})`/`A(E_{l+1})` but do
+/// not say which *fraction* of the junction tensor a sub-group owns when
+/// the producing and consuming layers have been partitioned differently by
+/// the levels above.  This crate defaults to the **consumer** scope (see
+/// the README section "The cost model: one exact evaluator"); the other
+/// interpretations are kept for the ablation in the experiment harness.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum JunctionScaling {
+    /// The consumer layer's L-tensor layout: `bat[l+1] · fin[l+1]`
+    /// (default — reproduces the paper's Figure 5 patterns).
+    #[default]
+    Consumer,
+    /// The producer layer's R-tensor layout: `bat[l]`.
+    Producer,
+    /// No scaling: every level sees the full junction tensor.
+    Unscaled,
+}
 
 /// The integer data of the cost model: a weight count `W_l` and an output
 /// count `O_l` per layer, and pairs `(producer, consumer, J)`.  A chain
@@ -61,7 +96,8 @@ fn count(elems: f64) -> u128 {
 }
 
 impl CostTerms {
-    /// The terms of a chain: its layers and one pair per junction.
+    /// The terms of a chain: its layers, and as pair `l` the junction
+    /// from layer `l` to layer `l + 1`.
     #[must_use]
     pub fn chain(net: &NetworkCommTensors) -> Self {
         let mut terms = Self::default();
@@ -95,6 +131,91 @@ impl CostTerms {
         self.weights.len()
     }
 
+    /// Level `h`'s array-wide Table 1 term of layer `l` when it is
+    /// `choice` there: `2·W·2^d` (dp) or `2·O·2^(h − d)` (mp), with `d =
+    /// dp_above[l]` the levels above `h` at which the layer is dp.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l` is out of range or `dp_above[l] > h`.
+    ///
+    /// ```
+    /// use hypar_comm::{CostTerms, LayerCommTensors, NetworkCommTensors, Parallelism};
+    ///
+    /// // The paper's §3.4 fc layer, 70 inputs, 100 outputs, batch 32.
+    /// let fc = LayerCommTensors::fully_connected("fc", 32, 70, 100);
+    /// let terms = CostTerms::chain(&NetworkCommTensors::from_layers("fc", 32, vec![fc]));
+    /// assert_eq!(terms.layer_term(0, Parallelism::Data, 0, &[0]), 2 * 7_000);
+    /// assert_eq!(terms.layer_term(0, Parallelism::Model, 0, &[0]), 2 * 3_200);
+    /// // One dp level above: two pairs, each with half the batch.
+    /// assert_eq!(terms.layer_term(0, Parallelism::Model, 1, &[1]), 2 * 3_200);
+    /// ```
+    #[must_use]
+    pub fn layer_term(&self, l: usize, choice: Parallelism, h: usize, dp_above: &[usize]) -> u128 {
+        let d = dp_above[l];
+        match choice {
+            Parallelism::Data => self.weights[l] << (d + 1),
+            Parallelism::Model => self.outputs[l] << (h + 1 - d),
+        }
+    }
+
+    /// Level `h`'s array-wide Table 2 term of pair `e` when its producer
+    /// is `from` and its consumer `to` there: `0` for dp→dp, otherwise
+    /// `J` (Consumer), `J·2^(h − d)` (Producer, with `d` the producer's
+    /// `dp_above` count) or `J·2^h` (Unscaled).  Half of a dp→mp amount
+    /// moves forward and half backward; from mp, all of it is error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` is out of range, or under Producer scope if the
+    /// producer's `dp_above` count is missing or above `h`.
+    #[must_use]
+    pub fn pair_term(
+        &self,
+        e: usize,
+        (from, to): (Parallelism, Parallelism),
+        h: usize,
+        dp_above: &[usize],
+        mode: JunctionScaling,
+    ) -> u128 {
+        let (producer, _, j) = self.pairs[e];
+        if from == Parallelism::Data && to == Parallelism::Data {
+            return 0;
+        }
+        match mode {
+            JunctionScaling::Consumer => j,
+            JunctionScaling::Producer => j << (h - dp_above[producer]),
+            JunctionScaling::Unscaled => j << h,
+        }
+    }
+
+    /// Level `h`'s array-wide cost of the assignment `level` under
+    /// `mode`, with `dp_above[l]` the levels above `h` at which layer `l`
+    /// is dp: the sum of every layer's and every pair's term.  This is
+    /// what Algorithm 1 minimizes at level `h`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` or `dp_above` does not cover every layer.
+    #[must_use]
+    pub fn level_total(
+        &self,
+        level: &[Parallelism],
+        h: usize,
+        dp_above: &[usize],
+        mode: JunctionScaling,
+    ) -> u128 {
+        let covered = level.len() == self.num_layers();
+        assert!(covered, "assignment must cover every weighted layer");
+        let layers: u128 = (0..level.len())
+            .map(|l| self.layer_term(l, level[l], h, dp_above))
+            .sum();
+        let pairs: u128 = (self.pairs.iter().enumerate())
+            .map(|(e, &(a, b, _))| self.pair_term(e, (level[a], level[b]), h, dp_above, mode))
+            .sum();
+        layers + pairs
+    }
+
     /// A [`FlipPricer`] positioned at the plan `levels[h][l]` (top level
     /// first), its running total `total(levels, Consumer)`.
     ///
@@ -108,9 +229,7 @@ impl CostTerms {
         let len = self.num_layers();
         let mut dp_levels = vec![0; len];
         for level in levels {
-            for (k, choice) in dp_levels.iter_mut().zip(level) {
-                *k += usize::from(*choice == Parallelism::Data);
-            }
+            count_dp(&mut dp_levels, level);
         }
         // Compressed rows: layer l's pairs at incident[starts[l]..starts[l + 1]].
         let mut starts = vec![0; len + 1];
@@ -145,46 +264,44 @@ impl CostTerms {
     }
 
     /// The total array-wide communication of the plan `levels[h][l]` (top
-    /// level first) under `mode`, in tensor elements.
+    /// level first) under `mode`, in tensor elements: the sum of every
+    /// level's [`CostTerms::level_total`].
     ///
     /// # Panics
     ///
     /// Panics if a level does not cover every layer.
     #[must_use]
     pub fn total(&self, levels: &[Vec<Parallelism>], mode: JunctionScaling) -> u128 {
-        let covered = levels.iter().all(|level| level.len() == self.weights.len());
-        assert!(covered, "assignment must cover every weighted layer");
-        let mut total = 0u128;
-        for (l, (&w, &o)) in self.weights.iter().zip(&self.outputs).enumerate() {
-            let mut dp_above = 0;
-            for (h, level) in levels.iter().enumerate() {
-                // 2·W·2^d and 2·O·2^(h − d), with d the dp levels above h.
-                total += match level[l] {
-                    Parallelism::Data => {
-                        dp_above += 1;
-                        w << dp_above
-                    }
-                    Parallelism::Model => o << (h + 1 - dp_above),
-                };
-            }
-        }
-        for &(producer, consumer, j) in &self.pairs {
-            let mut producer_dp_above = 0;
-            for (h, level) in levels.iter().enumerate() {
-                let from = level[producer];
-                if from != Parallelism::Data || level[consumer] != Parallelism::Data {
-                    total += match mode {
-                        JunctionScaling::Consumer => j,
-                        JunctionScaling::Producer => j << (h - producer_dp_above),
-                        JunctionScaling::Unscaled => j << h,
-                    };
-                }
-                if from == Parallelism::Data {
-                    producer_dp_above += 1;
-                }
-            }
+        let mut dp_above = vec![0; self.num_layers()];
+        let mut total = 0;
+        for (h, level) in levels.iter().enumerate() {
+            total += self.level_total(level, h, &dp_above, mode);
+            count_dp(&mut dp_above, level);
         }
         total
+    }
+}
+
+/// Adds one level's dp choices to per-layer counts: after the levels
+/// above `h`, `counts` holds level `h`'s `dp_above`.
+///
+/// # Panics
+///
+/// Panics if `level` does not cover every counted layer.
+///
+/// ```
+/// use hypar_comm::{count_dp, Parallelism::{Data, Model}};
+///
+/// let mut dp_above = vec![0, 0];
+/// count_dp(&mut dp_above, &[Data, Model]);
+/// count_dp(&mut dp_above, &[Data, Data]);
+/// assert_eq!(dp_above, [2, 1]);
+/// ```
+pub fn count_dp(counts: &mut [usize], level: &[Parallelism]) {
+    let covered = level.len() == counts.len();
+    assert!(covered, "assignment must cover every weighted layer");
+    for (k, &choice) in counts.iter_mut().zip(level) {
+        *k += usize::from(choice == Parallelism::Data);
     }
 }
 
@@ -292,7 +409,7 @@ impl FlipPricer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{level_cost, LayerCommTensors, ScaleState};
+    use crate::LayerCommTensors;
     use hypar_models::zoo;
     use proptest::prelude::*;
     use Parallelism::{Data, Model};
@@ -303,15 +420,38 @@ mod tests {
         JunctionScaling::Unscaled,
     ];
 
-    /// Algorithm 2's definition: `2^h` times one group pair's
-    /// [`level_cost`], with the scales descending level by level.
+    /// Algorithm 2's definition in `f64`, written out: at level `h`,
+    /// `2^h` pairs each exchange Table 1's `2·A(ΔW)` (dp) or `2·A(F_out)`
+    /// (mp) per layer, and Table 2's `A(junction)` per junction that is
+    /// not dp→dp, every tensor scaled by the fractions the levels above
+    /// committed: a dp level halves a layer's batch, an mp level its
+    /// input features.
     fn oracle(net: &NetworkCommTensors, levels: &[Vec<Parallelism>], mode: JunctionScaling) -> f64 {
-        let mut scales = ScaleState::identity(net.len());
+        let (mut batch, mut features) = (vec![1.0; net.len()], vec![1.0; net.len()]);
         let mut total = 0.0;
-        for (h, assignment) in levels.iter().enumerate() {
-            total +=
-                f64::from(1u32 << h) * level_cost(net, &scales, assignment, mode).total_elems();
-            scales = scales.descend(assignment);
+        for (h, level) in levels.iter().enumerate() {
+            let mut pair = 0.0;
+            for (l, layer) in net.layers().iter().enumerate() {
+                pair += match level[l] {
+                    Data => 2.0 * layer.weight_elems * features[l],
+                    Model => 2.0 * layer.output_elems * batch[l],
+                };
+                if l + 1 < net.len() && (level[l], level[l + 1]) != (Data, Data) {
+                    pair += layer.junction_elems
+                        * match mode {
+                            JunctionScaling::Consumer => batch[l + 1] * features[l + 1],
+                            JunctionScaling::Producer => batch[l],
+                            JunctionScaling::Unscaled => 1.0,
+                        };
+                }
+            }
+            total += f64::from(1u32 << h) * pair;
+            for (l, &choice) in level.iter().enumerate() {
+                match choice {
+                    Data => batch[l] /= 2.0,
+                    Model => features[l] /= 2.0,
+                }
+            }
         }
         total
     }
@@ -378,6 +518,11 @@ mod tests {
         assert_eq!(terms.weights.len(), 4);
         assert_eq!(terms.pairs.len(), 3);
         assert_eq!(terms.pairs[0], (0, 1, 256 * 2880));
+    }
+
+    #[test]
+    fn junction_scaling_default_is_consumer() {
+        assert_eq!(JunctionScaling::default(), JunctionScaling::Consumer);
     }
 
     #[test]

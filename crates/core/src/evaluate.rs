@@ -74,7 +74,6 @@ pub fn evaluate_plan_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypar_comm::{level_cost, ScaleState};
     use hypar_models::zoo;
     use Parallelism::{Data, Model};
 
@@ -111,16 +110,8 @@ mod tests {
     fn level_weighting_is_power_of_two() {
         let net = view("SFC");
         let plan = vec![vec![Data; net.len()]; 3];
-        // dp never shrinks weights, so every level's pair costs the same.
-        let mut scales = ScaleState::identity(net.len());
-        let per_pair = level_cost(&net, &scales, &plan[0], CONSUMER).total_elems();
-        for level in &plan {
-            assert_eq!(
-                level_cost(&net, &scales, level, CONSUMER).total_elems(),
-                per_pair
-            );
-            scales = scales.descend(level);
-        }
+        // dp never shrinks weights, so every level's pair exchanges 2·A(W).
+        let per_pair: f64 = net.layers().iter().map(|l| 2.0 * l.weight_elems).sum();
         assert_eq!(
             evaluate_plan(&net, &plan).total_elems(),
             (1.0 + 2.0 + 4.0) * per_pair
@@ -131,12 +122,15 @@ mod tests {
     fn mixed_plan_scales_descend_between_levels() {
         let net = view("Lenet-c");
         let level = vec![Data, Data, Model, Model];
-        let top = ScaleState::identity(net.len());
-        let below = top.descend(&level);
-        let first = level_cost(&net, &top, &level, CONSUMER).total_elems();
-        let second = level_cost(&net, &below, &level, CONSUMER).total_elems();
-        // Same assignment, smaller tensors: the second level's pair cost
-        // must be strictly cheaper, and it has two pairs.
+        // Each pair exchanges the dp gradients and mp outputs, which the
+        // other choice's levels do not shrink, and the conv2→fc1 and
+        // fc1→fc2 junctions.  Below the first level their consumers hold
+        // half their input features, so each pair moves half of each.
+        let intra = 2.0 * (net.layer(0).weight_elems + net.layer(1).weight_elems)
+            + 2.0 * (net.layer(2).output_elems + net.layer(3).output_elems);
+        let junctions = net.layer(1).junction_elems + net.layer(2).junction_elems;
+        let first = intra + junctions;
+        let second = intra + junctions / 2.0;
         assert!(second < first);
         assert_eq!(
             evaluate_plan(&net, &[level.clone(), level]).total_elems(),
@@ -148,12 +142,18 @@ mod tests {
     fn all_mp_junction_traffic_present() {
         let net = view("SFC");
         let plan = vec![vec![Model; net.len()]; 2];
-        let top = level_cost(&net, &ScaleState::identity(net.len()), &plan[0], CONSUMER);
-        assert!(top.inter.iter().all(|&x| x > 0.0));
         // mp never shrinks the produced outputs, so each level's pairs
-        // exchange 2·A(F_out); the rest of the total is junction traffic.
-        let intra: f64 = top.intra.iter().sum();
-        assert!(evaluate_plan(&net, &plan).total_elems() > (1.0 + 2.0) * intra);
+        // exchange 2·A(F_out); every junction adds J per level.
+        let intra: f64 = net.layers().iter().map(|l| 2.0 * l.output_elems).sum();
+        let junctions: f64 = net.layers()[..net.len() - 1]
+            .iter()
+            .map(|l| l.junction_elems)
+            .sum();
+        assert!(junctions > 0.0);
+        assert_eq!(
+            evaluate_plan(&net, &plan).total_elems(),
+            (1.0 + 2.0) * intra + 2.0 * junctions
+        );
     }
 
     #[test]

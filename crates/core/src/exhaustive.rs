@@ -19,9 +19,7 @@
 
 use std::fmt;
 
-use hypar_comm::{
-    level_cost, CostTerms, JunctionScaling, NetworkCommTensors, Parallelism, ScaleState,
-};
+use hypar_comm::{CostTerms, JunctionScaling, NetworkCommTensors, Parallelism};
 
 /// Upper bound on the number of binary slots (`layers × levels`) a
 /// brute-force search may enumerate: `2^24` ≈ 16.8M candidate plans.
@@ -138,32 +136,34 @@ pub fn assignment_from_bits(bits: u64, len: usize) -> Vec<Parallelism> {
 }
 
 /// Exhaustively finds the minimum-communication assignment for **one**
-/// level (`O(2^L)`), for validating [`crate::two_group::partition`].
+/// level (`O(2^L)`): the assignment minimizing [`CostTerms::level_total`]
+/// at level `h`, with `dp_above` and `mode` as in
+/// [`crate::two_group::partition`], for validating that dynamic program.
+/// Among equal costs the smallest bit pattern wins.
 ///
 /// # Errors
 ///
-/// Returns [`ExhaustiveError::Empty`] for a network without weighted
-/// layers and [`ExhaustiveError::TooLarge`] beyond [`SLOT_LIMIT`] layers
-/// (the enumeration would be infeasible — use the dynamic program).
+/// Returns [`ExhaustiveError::Empty`] for terms without layers and
+/// [`ExhaustiveError::TooLarge`] beyond [`SLOT_LIMIT`] layers (the
+/// enumeration would be infeasible — use the dynamic program).
 pub fn best_level(
-    net: &NetworkCommTensors,
-    scales: &ScaleState,
-) -> Result<(f64, Vec<Parallelism>), ExhaustiveError> {
-    let len = net.len();
+    terms: &CostTerms,
+    h: usize,
+    dp_above: &[usize],
+    mode: JunctionScaling,
+) -> Result<(u128, Vec<Parallelism>), ExhaustiveError> {
+    let len = terms.num_layers();
     if len == 0 {
         return Err(ExhaustiveError::Empty);
     }
-    let mut best_cost = f64::INFINITY;
-    let mut best_bits = 0u64;
-    for bits in assignment_space(len)? {
-        let assignment = assignment_from_bits(bits, len);
-        let cost = level_cost(net, scales, &assignment, JunctionScaling::Consumer).total_elems();
-        if cost < best_cost {
-            best_cost = cost;
-            best_bits = bits;
-        }
-    }
-    Ok((best_cost, assignment_from_bits(best_bits, len)))
+    let (cost, bits) = assignment_space(len)?
+        .map(|bits| {
+            let assignment = assignment_from_bits(bits, len);
+            (terms.level_total(&assignment, h, dp_above, mode), bits)
+        })
+        .min()
+        .unwrap_or_default();
+    Ok((cost, assignment_from_bits(bits, len)))
 }
 
 /// Exhaustively finds the minimum-communication **joint** plan over all
@@ -231,9 +231,15 @@ pub fn best_joint_terms(
 mod tests {
     use super::*;
     use crate::{hierarchical, two_group};
-    use hypar_comm::LayerCommTensors;
+    use hypar_comm::{count_dp, LayerCommTensors};
     use hypar_models::zoo;
     use proptest::prelude::*;
+
+    const MODES: [JunctionScaling; 3] = [
+        JunctionScaling::Consumer,
+        JunctionScaling::Producer,
+        JunctionScaling::Unscaled,
+    ];
 
     fn view(name: &str) -> NetworkCommTensors {
         NetworkCommTensors::from_network(&zoo::by_name(name).unwrap(), 256).unwrap()
@@ -334,27 +340,27 @@ mod tests {
         for name in [
             "SFC", "SCONV", "Lenet-c", "Cifar-c", "AlexNet", "VGG-A", "VGG-B",
         ] {
-            let net = view(name);
-            let scales = ScaleState::identity(net.len());
-            let dp = two_group::partition(&net, &scales);
-            let (brute_cost, _) = best_level(&net, &scales).unwrap();
-            assert!(
-                (dp.comm_elems - brute_cost).abs() <= 1e-9 * brute_cost.max(1.0),
-                "{name}: DP {} vs exhaustive {brute_cost}",
-                dp.comm_elems
-            );
+            let terms = CostTerms::chain(&view(name));
+            let dp_above = vec![0; terms.num_layers()];
+            for mode in MODES {
+                let dp = two_group::partition(&terms, 0, &dp_above, mode);
+                let (brute_cost, _) = best_level(&terms, 0, &dp_above, mode).unwrap();
+                assert_eq!(dp.comm_elems, brute_cost, "{name} {mode:?}");
+            }
         }
     }
 
     #[test]
     fn dp_matches_exhaustive_at_descended_scales() {
-        let net = view("AlexNet");
-        let mut scales = ScaleState::identity(net.len());
-        for _ in 0..3 {
-            let dp = two_group::partition(&net, &scales);
-            let (brute_cost, _) = best_level(&net, &scales).unwrap();
-            assert!((dp.comm_elems - brute_cost).abs() <= 1e-9 * brute_cost.max(1.0));
-            scales = scales.descend(&dp.assignment);
+        let terms = CostTerms::chain(&view("AlexNet"));
+        for mode in MODES {
+            let mut dp_above = vec![0; terms.num_layers()];
+            for h in 0..3 {
+                let dp = two_group::partition(&terms, h, &dp_above, mode);
+                let (brute_cost, _) = best_level(&terms, h, &dp_above, mode).unwrap();
+                assert_eq!(dp.comm_elems, brute_cost, "H{h} {mode:?}");
+                count_dp(&mut dp_above, &dp.assignment);
+            }
         }
     }
 
@@ -408,7 +414,8 @@ mod tests {
             .map(|i| LayerCommTensors::fully_connected(format!("fc{i}"), 32, 64, 64))
             .collect();
         let wide = NetworkCommTensors::from_layers("wide", 32, layers);
-        let err = best_level(&wide, &ScaleState::identity(30)).unwrap_err();
+        let wide = CostTerms::chain(&wide);
+        let err = best_level(&wide, 0, &[0; 30], JunctionScaling::Consumer).unwrap_err();
         assert_eq!(err, ExhaustiveError::TooLarge { slots: 30 });
         assert!(err.to_string().contains("feasibility limit"));
     }
@@ -417,7 +424,7 @@ mod tests {
     fn empty_network_is_a_typed_error() {
         let empty = NetworkCommTensors::from_layers("empty", 32, Vec::new());
         assert_eq!(
-            best_level(&empty, &ScaleState::identity(0)).unwrap_err(),
+            best_level(&CostTerms::chain(&empty), 0, &[], JunctionScaling::Consumer).unwrap_err(),
             ExhaustiveError::Empty
         );
         assert_eq!(best_joint(&empty, 2).unwrap_err(), ExhaustiveError::Empty);
@@ -457,18 +464,19 @@ mod tests {
                 })
                 .collect();
             let len = layers.len();
-            let net = NetworkCommTensors::from_layers("rand", batch, layers);
-            let mut scales = ScaleState::identity(len);
+            let terms = CostTerms::chain(&NetworkCommTensors::from_layers("rand", batch, layers));
+            let mut dp_above = vec![0; len];
             for &d in &descents {
                 let assignment: Vec<_> = (0..len)
                     .map(|l| Parallelism::from_bit(d ^ (l % 2 == 0)))
                     .collect();
-                scales = scales.descend(&assignment);
+                count_dp(&mut dp_above, &assignment);
             }
-            let dp = two_group::partition(&net, &scales);
-            let (brute, _) = best_level(&net, &scales).unwrap();
-            prop_assert!((dp.comm_elems - brute).abs() <= 1e-9 * brute.max(1.0),
-                "DP {} vs exhaustive {}", dp.comm_elems, brute);
+            for mode in MODES {
+                let dp = two_group::partition(&terms, descents.len(), &dp_above, mode);
+                let (brute, _) = best_level(&terms, descents.len(), &dp_above, mode).unwrap();
+                prop_assert_eq!(dp.comm_elems, brute, "{:?}", mode);
+            }
         }
     }
 }

@@ -3,12 +3,11 @@
 //! Applies [`crate::two_group::partition`] level by level.  The paper
 //! phrases this recursively (`com = com_h + 2·com_n`); because both
 //! sub-groups of a level see identical sub-problems, the recursion
-//! collapses to one iteration per level with the per-layer tensor scales
-//! halved according to the committed assignment.
+//! collapses to one iteration per level, each layer carrying the count of
+//! levels above at which it committed to dp.
 
-use hypar_comm::{JunctionScaling, NetworkCommTensors, ScaleState};
+use hypar_comm::{count_dp, CostTerms, JunctionScaling, NetworkCommTensors};
 
-use crate::evaluate::evaluate_plan_with;
 use crate::two_group;
 use crate::HierarchicalPlan;
 
@@ -52,14 +51,15 @@ pub fn partition_with(
     num_levels: usize,
     mode: JunctionScaling,
 ) -> HierarchicalPlan {
-    let mut scales = ScaleState::identity(net.len());
+    let terms = CostTerms::chain(net);
+    let mut dp_above = vec![0; net.len()];
     let mut levels = Vec::with_capacity(num_levels);
-    for _ in 0..num_levels {
-        let result = two_group::partition_with(net, &scales, mode);
-        scales = scales.descend(&result.assignment);
-        levels.push(result.assignment);
+    for h in 0..num_levels {
+        let assignment = two_group::partition(&terms, h, &dp_above, mode).assignment;
+        count_dp(&mut dp_above, &assignment);
+        levels.push(assignment);
     }
-    let total = evaluate_plan_with(net, &levels, mode).total_elems();
+    let total = terms.total(&levels, mode) as f64;
     HierarchicalPlan::from_parts(
         net.name(),
         net.layers().iter().map(|l| l.name.clone()).collect(),

@@ -8,9 +8,10 @@
 //!
 //! * [`two_group::partition`] — Algorithm 1: a layer-wise dynamic program
 //!   (two states per layer, Viterbi traceback) that partitions work between
-//!   two groups in `O(L)` time;
+//!   two groups in `O(L)` time, on one level's exact integer cost terms
+//!   ([`hypar_comm::CostTerms`]);
 //! * [`hierarchical::partition`] — Algorithm 2: applies Algorithm 1 at
-//!   every level, halving the per-layer tensor scales committed above
+//!   every level, each layer carrying its count of dp levels above
 //!   (`com = com_h + 2·com_n`);
 //! * [`evaluate::evaluate_plan`] — costs *any* hierarchical plan under the
 //!   identical model, so baselines and sweeps are directly comparable;

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use hypar_comm::{Parallelism, ScaleState};
+use hypar_comm::Parallelism;
 use hypar_telemetry::{StateHash, StateHasher};
 use hypar_tensor::Bytes;
 use serde::{Deserialize, Serialize};
@@ -126,17 +126,6 @@ impl HierarchicalPlan {
         Bytes::from_elems(self.total_comm_elems, hypar_comm::PRECISION_BYTES)
     }
 
-    /// The tensor scales at the leaves of the hierarchy (each individual
-    /// accelerator's share), obtained by descending through every level.
-    #[must_use]
-    pub fn leaf_scales(&self) -> ScaleState {
-        let mut scales = ScaleState::identity(self.num_layers());
-        for level in &self.levels {
-            scales = scales.descend(level);
-        }
-        scales
-    }
-
     /// The per-layer bit pattern of level `h` in the paper's Figure 9/10
     /// convention (`0` = dp, `1` = mp, layer 0 first).
     #[must_use]
@@ -235,17 +224,6 @@ mod tests {
         let plan = sample();
         assert_eq!(plan.level_bits(0), "01");
         assert_eq!(plan.level_bits(1), "00");
-    }
-
-    #[test]
-    fn leaf_scales_descend_all_levels() {
-        let plan = sample();
-        let scales = plan.leaf_scales();
-        // conv1: dp at both levels -> batch 1/4.
-        assert_eq!(scales.layer(0).batch_fraction().value(), 0.25);
-        // fc1: mp then dp -> batch 1/2, features 1/2.
-        assert_eq!(scales.layer(1).batch_fraction().value(), 0.5);
-        assert_eq!(scales.layer(1).input_fraction().value(), 0.5);
     }
 
     #[test]

@@ -5,24 +5,28 @@
 //! emission costs are the Table 1 intra-layer amounts.  Linear in the
 //! number of weighted layers; the Viterbi-style traceback recovers the
 //! minimizing assignment.
+//!
+//! It runs on the exact integer terms of one hierarchy level
+//! ([`CostTerms::layer_term`], [`CostTerms::pair_term`]): the level's
+//! array-wide amounts, `2^h` times one group pair's.
 
-use hypar_comm::{
-    inter_elems, intra_elems, JunctionScaling, NetworkCommTensors, Parallelism, ScaleState,
-};
+use hypar_comm::{CostTerms, JunctionScaling, Parallelism};
 
-/// The outcome of one two-group partition: the minimum communication (in
-/// tensor elements, both directions) and the per-layer assignment achieving
-/// it.
-#[derive(Clone, Debug, PartialEq)]
+/// The outcome of one two-group partition: the minimum communication and
+/// the per-layer assignment achieving it.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TwoGroupPartition {
-    /// Minimum total communication at this level, in tensor elements.
-    pub comm_elems: f64,
+    /// Minimum array-wide communication at this level, in tensor
+    /// elements: exactly [`CostTerms::level_total`] of `assignment`.
+    pub comm_elems: u128,
     /// The per-layer parallelism achieving it.
     pub assignment: Vec<Parallelism>,
 }
 
-/// Runs Algorithm 1 for a network whose tensors are scaled by `scales`
-/// (identity scales at the top of the hierarchy).
+/// Runs Algorithm 1 at hierarchy level `h` on a chain's terms
+/// ([`CostTerms::chain`]: pair `l` joins layer `l` to `l + 1`), with
+/// `dp_above[l]` the levels above `h` at which layer `l` is dp (all zero
+/// at the top of the hierarchy) and junctions scoped by `mode`.
 ///
 /// Ties are broken toward **data parallelism**, both in the final state and
 /// in the traceback: dp→dp junctions are free, so on equal cost dp keeps
@@ -31,62 +35,48 @@ pub struct TwoGroupPartition {
 ///
 /// # Panics
 ///
-/// Panics if the network is empty or `scales.len() != net.len()`.
+/// Panics if the chain is empty or `dp_above` does not cover its layers.
 ///
 /// # Examples
 ///
 /// ```
-/// use hypar_comm::{NetworkCommTensors, Parallelism, ScaleState};
+/// use hypar_comm::{CostTerms, JunctionScaling, NetworkCommTensors, Parallelism};
 /// use hypar_core::two_group;
 /// use hypar_models::zoo;
 ///
 /// let net = NetworkCommTensors::from_network(&zoo::lenet_c(), 256)?;
-/// let result = two_group::partition(&net, &ScaleState::identity(net.len()));
+/// let terms = CostTerms::chain(&net);
+/// let result = two_group::partition(&terms, 0, &[0; 4], JunctionScaling::Consumer);
 /// // Figure 9: conv layers dp, fc layers mp.
 /// use Parallelism::{Data, Model};
 /// assert_eq!(result.assignment, vec![Data, Data, Model, Model]);
 /// # Ok::<(), hypar_models::NetworkError>(())
 /// ```
 #[must_use]
-pub fn partition(net: &NetworkCommTensors, scales: &ScaleState) -> TwoGroupPartition {
-    partition_with(net, scales, JunctionScaling::Consumer)
-}
-
-/// [`partition`] under an explicit [`JunctionScaling`] interpretation
-/// (used by the model-ablation experiment).
-///
-/// # Panics
-///
-/// Same as [`partition`].
-#[must_use]
-pub fn partition_with(
-    net: &NetworkCommTensors,
-    scales: &ScaleState,
+pub fn partition(
+    terms: &CostTerms,
+    h: usize,
+    dp_above: &[usize],
     mode: JunctionScaling,
 ) -> TwoGroupPartition {
     use Parallelism::{Data, Model};
 
-    let num_layers = net.len();
+    let num_layers = terms.num_layers();
     assert!(num_layers > 0, "cannot partition an empty network");
     assert_eq!(
-        scales.len(),
+        dp_above.len(),
         num_layers,
-        "scales must cover every weighted layer"
+        "dp_above must cover every weighted layer"
     );
 
     // com[l][s]: minimum accumulated communication with layer l in state s.
     // parent[l][s]: the state of layer l-1 on that minimum path.
-    let mut com = vec![[0.0f64; 2]; num_layers];
+    let mut com = vec![[0u128; 2]; num_layers];
     let mut parent = vec![[Data; 2]; num_layers];
 
-    let intra = |l: usize, p: Parallelism| intra_elems(p, net.layer(l), scales.layer(l));
+    let intra = |l: usize, p: Parallelism| terms.layer_term(l, p, h, dp_above);
     let inter = |l: usize, prev: Parallelism, next: Parallelism| {
-        inter_elems(
-            prev,
-            next,
-            net.layer(l).junction_elems,
-            scales.junction_scale(l, mode),
-        )
+        terms.pair_term(l, (prev, next), h, dp_above, mode)
     };
 
     com[0] = [intra(0, Data), intra(0, Model)];
@@ -112,13 +102,13 @@ pub fn partition_with(
     } else {
         Model
     };
-    let comm_elems = com[num_layers - 1][state.bit() as usize];
+    let comm_elems = com[num_layers - 1][usize::from(state.bit())];
 
     let mut assignment = vec![Data; num_layers];
     for l in (0..num_layers).rev() {
         assignment[l] = state;
         if l > 0 {
-            state = parent[l][state.bit() as usize];
+            state = parent[l][usize::from(state.bit())];
         }
     }
 
@@ -131,46 +121,59 @@ pub fn partition_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypar_comm::{level_cost, LayerCommTensors};
+    use hypar_comm::{count_dp, LayerCommTensors, NetworkCommTensors};
     use hypar_models::zoo;
     use Parallelism::{Data, Model};
 
-    fn view(net: &hypar_models::Network, batch: u64) -> NetworkCommTensors {
-        NetworkCommTensors::from_network(net, batch).unwrap()
+    const MODES: [JunctionScaling; 3] = [
+        JunctionScaling::Consumer,
+        JunctionScaling::Producer,
+        JunctionScaling::Unscaled,
+    ];
+
+    fn terms(net: &hypar_models::Network, batch: u64) -> CostTerms {
+        CostTerms::chain(&NetworkCommTensors::from_network(net, batch).unwrap())
+    }
+
+    fn chain(name: &str, batch: u64, layers: Vec<LayerCommTensors>) -> CostTerms {
+        CostTerms::chain(&NetworkCommTensors::from_layers(name, batch, layers))
+    }
+
+    /// Algorithm 1 at the top of the hierarchy, where nothing is split.
+    fn top(terms: &CostTerms) -> TwoGroupPartition {
+        let dp_above = vec![0; terms.num_layers()];
+        partition(terms, 0, &dp_above, JunctionScaling::Consumer)
     }
 
     #[test]
     fn reported_cost_matches_level_cost_of_assignment() {
-        for name in hypar_models::zoo::NAMES {
-            let net = view(&hypar_models::zoo::by_name(name).unwrap(), 256);
-            let scales = ScaleState::identity(net.len());
-            let result = partition(&net, &scales);
-            let recomputed =
-                level_cost(&net, &scales, &result.assignment, JunctionScaling::Consumer)
-                    .total_elems();
-            assert!(
-                (result.comm_elems - recomputed).abs() < 1e-6 * recomputed.max(1.0),
-                "{name}: DP cost {} != recomputed {recomputed}",
-                result.comm_elems
-            );
+        // At every level Algorithm 2 visits, in every junction mode.
+        for name in zoo::NAMES {
+            let terms = terms(&zoo::by_name(name).unwrap(), 256);
+            for mode in MODES {
+                let mut dp_above = vec![0; terms.num_layers()];
+                for h in 0..5 {
+                    let result = partition(&terms, h, &dp_above, mode);
+                    let level = terms.level_total(&result.assignment, h, &dp_above, mode);
+                    assert_eq!(result.comm_elems, level, "{name} H{h} {mode:?}");
+                    count_dp(&mut dp_above, &result.assignment);
+                }
+            }
         }
     }
 
     #[test]
     fn lenet_chooses_conv_dp_fc_mp() {
-        let net = view(&zoo::lenet_c(), 256);
-        let result = partition(&net, &ScaleState::identity(4));
+        let result = top(&terms(&zoo::lenet_c(), 256));
         assert_eq!(result.assignment, vec![Data, Data, Model, Model]);
     }
 
     #[test]
     fn sconv_is_all_dp_and_sfc_mostly_mp() {
-        let sconv = view(&zoo::sconv(), 256);
-        let r = partition(&sconv, &ScaleState::identity(4));
+        let r = top(&terms(&zoo::sconv(), 256));
         assert_eq!(r.assignment, vec![Data; 4]);
 
-        let sfc = view(&zoo::sfc(), 256);
-        let r = partition(&sfc, &ScaleState::identity(4));
+        let r = top(&terms(&zoo::sfc(), 256));
         // The three big fc layers prefer mp at the top level (Figure 5a).
         assert_eq!(&r.assignment[..3], &[Model, Model, Model]);
     }
@@ -178,10 +181,9 @@ mod tests {
     #[test]
     fn single_layer_network_picks_cheaper_table1_side() {
         let fc = LayerCommTensors::fully_connected("fc", 32, 70, 100);
-        let net = NetworkCommTensors::from_layers("one", 32, vec![fc]);
-        let r = partition(&net, &ScaleState::identity(1));
+        let r = top(&chain("one", 32, vec![fc]));
         assert_eq!(r.assignment, vec![Model]); // 25.6 KB < 56 KB
-        assert_eq!(r.comm_elems, 2.0 * 32.0 * 100.0);
+        assert_eq!(r.comm_elems, 2 * 32 * 100);
     }
 
     #[test]
@@ -190,8 +192,7 @@ mod tests {
         // exactly and dp must win (the paper's §6.5.2 fc3-b4096 argument).
         let layer = LayerCommTensors::fully_connected("fc", 128, 128, 50);
         assert_eq!(layer.weight_elems, layer.output_elems);
-        let net = NetworkCommTensors::from_layers("tie", 128, vec![layer]);
-        let r = partition(&net, &ScaleState::identity(1));
+        let r = top(&chain("tie", 128, vec![layer]));
         assert_eq!(r.assignment, vec![Data]);
     }
 
@@ -208,21 +209,19 @@ mod tests {
                 }
             })
             .collect();
-        let net = NetworkCommTensors::from_layers("chain", 8, layers);
-        let r = partition(&net, &ScaleState::identity(1000));
+        let r = top(&chain("chain", 8, layers));
         assert_eq!(r.assignment.len(), 1000);
-        assert!(r.comm_elems > 0.0);
+        assert!(r.comm_elems > 0);
     }
 
     #[test]
     fn scales_change_the_decision() {
-        // VGG-E conv5 at b32: dp at identity scales, mp once the batch has
-        // been halved twice (the Figure 13 crossover).
+        // VGG-E conv5 at b32: dp at the top, mp once two dp levels above
+        // have halved the batch twice (the Figure 13 crossover).
         let conv5 = LayerCommTensors::conv("conv5", 32, (512, 14, 14), 3, 512, (14, 14), (7, 7));
-        let net = NetworkCommTensors::from_layers("conv5", 32, vec![conv5]);
-        let top = ScaleState::identity(1);
-        assert_eq!(partition(&net, &top).assignment, vec![Data]);
-        let deeper = top.descend(&[Data]).descend(&[Data]);
-        assert_eq!(partition(&net, &deeper).assignment, vec![Model]);
+        let terms = chain("conv5", 32, vec![conv5]);
+        assert_eq!(top(&terms).assignment, vec![Data]);
+        let deeper = partition(&terms, 2, &[2], JunctionScaling::Consumer);
+        assert_eq!(deeper.assignment, vec![Model]);
     }
 }

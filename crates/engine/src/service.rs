@@ -9,7 +9,10 @@
 //! flush. On an unbuffered `TcpStream` a separate 1-byte `\n` write sits
 //! behind Nagle's algorithm until the client's delayed ACK arrives, about
 //! 40 ms per reply on loopback; on stdout it costs one extra `write`
-//! syscall for any reply longer than `LineWriter`'s buffer.
+//! syscall for any reply longer than `LineWriter`'s buffer.  One write
+//! per reply is not enough when a client pipelines lines: a reply written
+//! while the previous one is still unacknowledged would wait the same way,
+//! so accepted connections also set `TCP_NODELAY`.
 //!
 //! Lines are read as raw bytes: a trailing `\n` or `\r\n` is stripped,
 //! whitespace-only lines are skipped, a final line without a newline is
@@ -212,6 +215,9 @@ pub fn serve_tcp_recorded(
                 continue;
             }
         };
+        if let Err(err) = stream.set_nodelay(true) {
+            eprintln!("set_nodelay failed: {err}");
+        }
         let engine = Arc::clone(&engine);
         let recorder = recorder.clone();
         thread::spawn(move || {

@@ -340,7 +340,7 @@ fn thirty_layer_exhaustive_request_is_rejected_not_panicked() {
 /// differs from the level-by-level f64 sum.
 #[test]
 fn totals_past_two_to_the_53_are_the_exact_total_rounded_once() {
-    use hypar_comm::{level_cost, CostTerms, JunctionScaling, NetworkCommTensors, ScaleState};
+    use hypar_comm::{CostTerms, JunctionScaling, NetworkCommTensors, Parallelism::Data};
 
     let levels = 14;
     let request = PlanRequest::zoo("vgg_a")
@@ -356,12 +356,33 @@ fn totals_past_two_to_the_53_are_the_exact_total_rounded_once() {
     assert!(exact >= 1 << 53);
     assert_eq!(reply.total_comm_elems, exact as f64);
 
-    let mut scales = ScaleState::identity(net.len());
+    // The level-by-level f64 definition: at level h, 2^h pairs each pay
+    // Table 1's amounts and then Table 2's, every tensor scaled by the
+    // fractions the levels above committed (a dp level halves a layer's
+    // batch, an mp level its input features; junctions take the
+    // consumer's scope).
+    let (mut batch, mut features) = (vec![1.0; net.len()], vec![1.0; net.len()]);
     let mut level_by_level = 0.0;
     for (h, level) in plan.iter().enumerate() {
-        let pair = level_cost(&net, &scales, level, JunctionScaling::Consumer).total_elems();
-        level_by_level += f64::from(1u32 << h) * pair;
-        scales = scales.descend(level);
+        let layers = net.layers();
+        let intra: f64 = (0..net.len())
+            .map(|l| match level[l] {
+                Data => 2.0 * layers[l].weight_elems * features[l],
+                _ => 2.0 * layers[l].output_elems * batch[l],
+            })
+            .sum();
+        let inter: f64 = (0..net.len() - 1)
+            .filter(|&l| level[l] != Data || level[l + 1] != Data)
+            .map(|l| layers[l].junction_elems * (batch[l + 1] * features[l + 1]))
+            .sum();
+        level_by_level += f64::from(1u32 << h) * (intra + inter);
+        for (l, &choice) in level.iter().enumerate() {
+            if choice == Data {
+                batch[l] /= 2.0;
+            } else {
+                features[l] /= 2.0;
+            }
+        }
     }
     assert_ne!(level_by_level, reply.total_comm_elems);
 }

@@ -20,7 +20,6 @@
 use hypar_core::exhaustive::{best_joint_terms, ExhaustiveError};
 use hypar_core::HierarchicalPlan;
 
-use crate::plan::cost_terms;
 use crate::segments::SegmentCommGraph;
 
 /// Exhaustively finds the minimum-communication **joint** plan over all
@@ -58,7 +57,7 @@ pub fn best_joint_graph(
     graph: &SegmentCommGraph,
     num_levels: usize,
 ) -> Result<HierarchicalPlan, ExhaustiveError> {
-    let (best_cost, levels) = best_joint_terms(&cost_terms(graph), num_levels)?;
+    let (best_cost, levels) = best_joint_terms(&graph.cost_terms(), num_levels)?;
     let names = graph
         .segments()
         .iter()

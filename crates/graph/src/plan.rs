@@ -11,7 +11,7 @@
 //! the graph) surface as [`GraphError::StitchMismatch`] values, never
 //! panics — the planning service feeds this path from untrusted input.
 
-use hypar_comm::{CostTerms, JunctionScaling, NetworkCommTensors, Parallelism};
+use hypar_comm::{JunctionScaling, NetworkCommTensors, Parallelism};
 use hypar_core::{hierarchical, HierarchicalPlan};
 
 use crate::error::GraphError;
@@ -180,33 +180,13 @@ fn stitch_scaled(
                 .collect()
         })
         .collect();
-    let total = cost_terms(graph).total(&levels, mode) as f64;
+    let total = graph.cost_terms().total(&levels, mode) as f64;
     Ok(HierarchicalPlan::from_parts(
         graph.name(),
         layer_names,
         levels,
         total,
     ))
-}
-
-/// The cost terms of a whole graph: every segment's layers and chain
-/// junctions in canonical segment order, plus one pair per
-/// [`crate::SegmentEdge`] from the producing segment's last layer to the
-/// consuming segment's first layer.
-pub(crate) fn cost_terms(graph: &SegmentCommGraph) -> CostTerms {
-    let mut terms = CostTerms::default();
-    let mut first_layer = Vec::with_capacity(graph.num_segments());
-    let mut offset = 0;
-    for segment in graph.segments() {
-        first_layer.push(offset);
-        terms.push_chain(segment);
-        offset += segment.len();
-    }
-    for edge in graph.edges() {
-        let last = first_layer[edge.from] + graph.segment(edge.from).len() - 1;
-        terms.push_pair(last, first_layer[edge.to], edge.elems);
-    }
-    terms
 }
 
 /// Costs an **arbitrary** whole-graph assignment (`levels[h][l]`, top
@@ -230,7 +210,7 @@ pub fn evaluate_graph_plan(
     levels: &[Vec<Parallelism>],
 ) -> Result<f64, GraphError> {
     check_graph_levels(graph, levels)?;
-    Ok(cost_terms(graph).total(levels, JunctionScaling::Consumer) as f64)
+    Ok(graph.cost_terms().total(levels, JunctionScaling::Consumer) as f64)
 }
 
 /// Validates that every level of a whole-graph assignment covers every
@@ -258,7 +238,6 @@ mod tests {
     use crate::dag::GraphBuilder;
     use crate::node::INPUT;
     use crate::refine::refine_graph_plan;
-    use hypar_comm::{inter_elems, junction_scale_between, LayerScale};
     use hypar_core::{baselines, evaluate::evaluate_plan_with};
     use hypar_models::ConvSpec;
     use hypar_tensor::FeatureDims;
@@ -272,9 +251,11 @@ mod tests {
         g.build().unwrap().segments(batch).unwrap()
     }
 
-    /// The inter-segment traffic of per-segment plans, written out from
-    /// the scales: at level `h`, `2^h` pairs each pay `inter_elems` with
-    /// the junction scoped by `mode`.
+    /// The inter-segment traffic of per-segment plans, written out: at
+    /// level `h`, `2^h` pairs each move an edge's `A(junction)` unless both
+    /// ends are dp, scoped by `mode` to the consumer's input fraction
+    /// `2^−h`, the producer's batch fraction `2^−d` (`d` its dp levels
+    /// above `h`), or the whole tensor.
     fn edge_elems_oracle(
         graph: &SegmentCommGraph,
         plans: &[HierarchicalPlan],
@@ -285,15 +266,21 @@ mod tests {
             let producer = &plans[edge.from];
             let consumer = &plans[edge.to];
             let last = producer.num_layers() - 1;
-            let mut producer_scale = LayerScale::IDENTITY;
-            let mut consumer_scale = LayerScale::IDENTITY;
+            let mut producer_batch = 1.0;
             for h in 0..consumer.num_levels() {
                 let prev = producer.choice(h, last);
                 let next = consumer.choice(h, 0);
-                let scale = junction_scale_between(producer_scale, consumer_scale, mode);
-                total += f64::from(1u32 << h) * inter_elems(prev, next, edge.elems, scale);
-                producer_scale = producer_scale.descend(prev);
-                consumer_scale = consumer_scale.descend(next);
+                let scope = match mode {
+                    JunctionScaling::Consumer => 0.5f64.powi(i32::try_from(h).unwrap()),
+                    JunctionScaling::Producer => producer_batch,
+                    JunctionScaling::Unscaled => 1.0,
+                };
+                if (prev, next) != (Parallelism::Data, Parallelism::Data) {
+                    total += f64::from(1u32 << h) * edge.elems * scope;
+                }
+                if prev == Parallelism::Data {
+                    producer_batch /= 2.0;
+                }
             }
         }
         total

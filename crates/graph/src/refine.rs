@@ -30,7 +30,7 @@ use hypar_core::refine::{descend, DescentReport};
 use hypar_core::HierarchicalPlan;
 
 use crate::error::GraphError;
-use crate::plan::{check_graph_levels, cost_terms};
+use crate::plan::check_graph_levels;
 use crate::segments::SegmentCommGraph;
 
 /// The per-sweep layer visiting order.  With several segments:
@@ -99,7 +99,7 @@ pub fn refine_graph_plan(
     let mut levels = seed.levels().to_vec();
     check_graph_levels(graph, &levels)?;
     let order = boundary_first_order(graph);
-    let report = descend(&mut levels, &order, &cost_terms(graph));
+    let report = descend(&mut levels, &order, &graph.cost_terms());
     let refined = HierarchicalPlan::from_parts(
         graph.name(),
         seed.layer_names().to_vec(),

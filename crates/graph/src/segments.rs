@@ -19,13 +19,13 @@
 //! feature tensor forward plus an error tensor backward, whose
 //! group-to-group cost depends on the parallelisms chosen on both sides.
 //! [`SegmentEdge`] records each such junction with its batched element
-//! count; [`crate::plan::stitch`] prices them with
-//! [`hypar_comm::inter_elems`] under the per-level plans of the two
+//! count; [`crate::plan::stitch`] prices them as pairs of
+//! [`SegmentCommGraph::cost_terms`] under the per-level plans of the two
 //! endpoint segments.
 
 use std::collections::BTreeMap;
 
-use hypar_comm::NetworkCommTensors;
+use hypar_comm::{CostTerms, NetworkCommTensors};
 use hypar_models::{Network, NetworkShapes};
 use hypar_telemetry::{StateHash, StateHasher};
 use hypar_tensor::FeatureDims;
@@ -199,6 +199,27 @@ impl SegmentCommGraph {
     #[must_use]
     pub fn num_layers(&self) -> usize {
         self.segments.iter().map(NetworkCommTensors::len).sum()
+    }
+
+    /// The graph's exact cost terms: every segment's chain in canonical
+    /// order ([`CostTerms::push_chain`]), so segment `s`'s layers follow
+    /// those of segments `0..s` and its `len − 1` junctions follow theirs,
+    /// then one pair per [`SegmentEdge`], in [`Self::edges`] order, from
+    /// the producing segment's last layer to the consuming segment's
+    /// first.
+    #[must_use]
+    pub fn cost_terms(&self) -> CostTerms {
+        let mut terms = CostTerms::default();
+        let mut first_layer = Vec::with_capacity(self.segments.len());
+        for segment in &self.segments {
+            first_layer.push(terms.num_layers());
+            terms.push_chain(segment);
+        }
+        for edge in &self.edges {
+            let last = first_layer[edge.from] + self.segments[edge.from].len() - 1;
+            terms.push_pair(last, first_layer[edge.to], edge.elems);
+        }
+        terms
     }
 }
 

@@ -1,8 +1,9 @@
-//! Generators shared by the graph crate's property tests.
+//! Generators and the cost oracle shared by the graph crate's property
+//! tests.
 
 #![expect(clippy::expect_used, reason = "generators fail by panicking")]
 
-use hypar_comm::CostTerms;
+use hypar_comm::{JunctionScaling, Parallelism};
 use hypar_graph::{GraphBuilder, SegmentCommGraph, INPUT};
 use hypar_models::ConvSpec;
 use hypar_tensor::FeatureDims;
@@ -58,20 +59,60 @@ pub fn arb_tiny_residual() -> impl Strategy<Value = TinyResidual> {
     )
 }
 
-/// The graph's cost terms, built from its public parts: each segment's
-/// chain, then one pair per inter-segment edge.
-pub fn terms(graph: &SegmentCommGraph) -> CostTerms {
-    let mut terms = CostTerms::default();
+/// Algorithm 2's definition of a whole-graph plan's total, in `f64` with
+/// explicit fractions: at level `h`, `2^h` group pairs each exchange
+/// Table 1's `2·A(ΔW)` (dp) or `2·A(F_out)` (mp) per layer, and Table 2's
+/// `A(junction)` per chain junction and inter-segment edge that is not
+/// dp→dp there, scoped by `mode`.  Every tensor is scaled by the choices
+/// above: a dp level halves a layer's batch, an mp level its input
+/// features.
+pub fn oracle(graph: &SegmentCommGraph, levels: &[Vec<Parallelism>], mode: JunctionScaling) -> f64 {
+    use Parallelism::{Data, Model};
+    // Every layer in whole-graph order, and every junction as
+    // (producer, consumer, elements).
+    let mut layers = Vec::new();
+    let mut junctions = Vec::new();
     let mut first = Vec::new();
-    let mut offset = 0;
     for segment in graph.segments() {
-        first.push(offset);
-        terms.push_chain(segment);
-        offset += segment.len();
+        first.push(layers.len());
+        for (i, layer) in segment.layers().iter().enumerate() {
+            if i + 1 < segment.len() {
+                junctions.push((layers.len(), layers.len() + 1, layer.junction_elems));
+            }
+            layers.push(layer);
+        }
     }
     for edge in graph.edges() {
         let last = first[edge.from] + graph.segment(edge.from).len() - 1;
-        terms.push_pair(last, first[edge.to], edge.elems);
+        junctions.push((last, first[edge.to], edge.elems));
     }
-    terms
+    let (mut batch, mut features) = (vec![1.0; layers.len()], vec![1.0; layers.len()]);
+    let mut total = 0.0;
+    for (h, level) in levels.iter().enumerate() {
+        let mut pair = 0.0;
+        for (l, layer) in layers.iter().enumerate() {
+            pair += match level[l] {
+                Data => 2.0 * layer.weight_elems * features[l],
+                Model => 2.0 * layer.output_elems * batch[l],
+            };
+        }
+        for &(a, b, elems) in &junctions {
+            if (level[a], level[b]) != (Data, Data) {
+                pair += elems
+                    * match mode {
+                        JunctionScaling::Consumer => batch[b] * features[b],
+                        JunctionScaling::Producer => batch[a],
+                        JunctionScaling::Unscaled => 1.0,
+                    };
+            }
+        }
+        total += f64::from(1u32 << h) * pair;
+        for (l, &choice) in level.iter().enumerate() {
+            match choice {
+                Data => batch[l] /= 2.0,
+                Model => features[l] /= 2.0,
+            }
+        }
+    }
+    total
 }

@@ -1,12 +1,11 @@
 //! The one exact evaluator on segment graphs, against the level-by-level
 //! definition.
 //!
-//! The oracle is Algorithm 2's sum written out: at level `h`, `2^h` times
-//! each segment's one-pair [`level_cost`] over [`ScaleState::descend`],
-//! plus every inter-segment edge priced with [`inter_elems`] at the
-//! junction fraction [`junction_scale_between`] gives.  The evaluator
-//! ([`CostTerms::total`], reached through [`evaluate_graph_plan`], the
-//! stitcher and the ablation's [`partition_graph_with`]) must equal it on
+//! The oracle is Algorithm 2's sum written out in `f64` with explicit
+//! power-of-two fractions (`common::oracle`).  The evaluator
+//! ([`CostTerms::total`] on [`SegmentCommGraph::cost_terms`], reached
+//! through [`evaluate_graph_plan`], the stitcher and the ablation's
+//! [`partition_graph_with`]) must equal it on
 //! random residual blocks and the branchy zoo, in every junction mode,
 //! at H0–16 and batches 1–4,300.  The flip pricer
 //! ([`CostTerms::flip_pricer`]) must price every single-bit flip of those
@@ -21,11 +20,8 @@
 
 mod common;
 
-use common::{arb_tiny_residual, terms};
-use hypar_comm::{
-    inter_elems, junction_scale_between, level_cost, CostTerms, JunctionScaling, LayerScale,
-    Parallelism, ScaleState,
-};
+use common::{arb_tiny_residual, oracle};
+use hypar_comm::{CostTerms, JunctionScaling, Parallelism};
 use hypar_graph::{evaluate_graph_plan, partition_graph_with, zoo, SegmentCommGraph};
 use proptest::prelude::*;
 
@@ -34,35 +30,6 @@ const MODES: [JunctionScaling; 3] = [
     JunctionScaling::Producer,
     JunctionScaling::Unscaled,
 ];
-
-/// The level-by-level definition of a whole-graph plan's total.
-fn oracle(graph: &SegmentCommGraph, levels: &[Vec<Parallelism>], mode: JunctionScaling) -> f64 {
-    let mut total = 0.0;
-    let mut first = Vec::new();
-    let mut offset = 0;
-    for segment in graph.segments() {
-        first.push(offset);
-        let mut scales = ScaleState::identity(segment.len());
-        for (h, level) in levels.iter().enumerate() {
-            let slice = &level[offset..offset + segment.len()];
-            total += f64::from(1u32 << h) * level_cost(segment, &scales, slice, mode).total_elems();
-            scales = scales.descend(slice);
-        }
-        offset += segment.len();
-    }
-    for edge in graph.edges() {
-        let from = first[edge.from] + graph.segment(edge.from).len() - 1;
-        let to = first[edge.to];
-        let (mut producer, mut consumer) = (LayerScale::IDENTITY, LayerScale::IDENTITY);
-        for (h, level) in levels.iter().enumerate() {
-            let scale = junction_scale_between(producer, consumer, mode);
-            total += f64::from(1u32 << h) * inter_elems(level[from], level[to], edge.elems, scale);
-            producer = producer.descend(level[from]);
-            consumer = consumer.descend(level[to]);
-        }
-    }
-    total
-}
 
 /// The Consumer closed form, `Σ_l 2W(2^k − 1) + 2O(2^(H−k) − 1) +
 /// Σ_e J(H − b)`, over the graph's layers, chain junctions and edges.
@@ -118,7 +85,7 @@ fn random_plan(layers: usize, depth: usize, seed: u64) -> Vec<Vec<Parallelism>> 
 /// Every check of this file on one graph, depth and seed.
 fn check(graph: &SegmentCommGraph, depth: usize, seed: u64) {
     let plan = random_plan(graph.num_layers(), depth, seed);
-    let terms = terms(graph);
+    let terms = graph.cost_terms();
     for mode in MODES {
         let exact = terms.total(&plan, mode);
         assert_eq!(exact as f64, oracle(graph, &plan, mode), "{mode:?}");
@@ -204,7 +171,7 @@ fn flips_are_exact_on_the_trimmed_nets() {
             for depth in 0..=16 {
                 let seed = batch * 17 + depth;
                 let plan = random_plan(graph.num_layers(), usize::try_from(depth).unwrap(), seed);
-                check_flips(&terms(&graph), plan, seed);
+                check_flips(&graph.cost_terms(), plan, seed);
             }
         }
     }

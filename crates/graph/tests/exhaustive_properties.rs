@@ -26,7 +26,7 @@
 
 mod common;
 
-use common::{arb_tiny_residual, terms};
+use common::{arb_tiny_residual, oracle};
 use hypar_comm::{CostTerms, JunctionScaling, NetworkCommTensors, Parallelism};
 use hypar_core::exhaustive::{self, assignment_from_bits, assignment_space};
 use hypar_graph::{best_joint_graph, partition_graph, zoo, GraphBuilder, SegmentCommGraph, INPUT};
@@ -60,10 +60,12 @@ fn best_by_counting(terms: &CostTerms, num_levels: usize) -> (u128, Vec<Vec<Para
 /// total the oracle's minimum rounded once.
 fn assert_walk_matches_the_oracle(graph: &SegmentCommGraph, depth: usize) {
     let joint = best_joint_graph(graph, depth).unwrap();
-    let (cost, levels) = best_by_counting(&terms(graph), depth);
+    let (cost, levels) = best_by_counting(&graph.cost_terms(), depth);
     let case = format!("{} b{} H{depth}", graph.name(), graph.batch());
     assert_eq!(joint.levels(), &levels[..], "{case}");
     assert_eq!(joint.total_comm_elems(), cost as f64, "{case}");
+    let definition = oracle(graph, &levels, JunctionScaling::Consumer);
+    assert_eq!(joint.total_comm_elems(), definition, "{case}");
 }
 
 /// Every case of at most 16 slots in the branchy zoo and the trimmed

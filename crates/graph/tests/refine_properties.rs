@@ -18,18 +18,19 @@
 //! And one oracle: the descent prices each candidate flip with a
 //! [`hypar_comm::FlipPricer`], and must reproduce — levels and the whole
 //! [`DescentReport`] — the descent that priced every candidate as a
-//! whole plan with [`CostTerms::total`].
+//! whole plan with [`hypar_comm::CostTerms::total`].
 
 #![expect(
+    clippy::float_cmp,
     clippy::expect_used,
     clippy::unwrap_used,
-    reason = "helpers fail by panicking"
+    reason = "totals are compared exactly; helpers fail by panicking"
 )]
 
 mod common;
 
-use common::{arb_tiny_residual, terms};
-use hypar_comm::{CostTerms, JunctionScaling, Parallelism};
+use common::arb_tiny_residual;
+use hypar_comm::{JunctionScaling, Parallelism};
 use hypar_core::refine::{DescentReport, MAX_SWEEPS};
 use hypar_core::HierarchicalPlan;
 use hypar_graph::refine::boundary_first_order;
@@ -92,7 +93,7 @@ fn descend_by_total(
 fn assert_descent_matches_the_oracle(graph: &SegmentCommGraph, depth: usize) {
     let stitched = partition_graph(graph, depth).unwrap();
     let (plan, report) = refine_graph_plan(graph, &stitched).unwrap();
-    let terms: CostTerms = terms(graph);
+    let terms = graph.cost_terms();
     let mut levels = stitched.levels().to_vec();
     let oracle = descend_by_total(&mut levels, &boundary_first_order(graph), |c| {
         terms.total(c, JunctionScaling::Consumer)
@@ -100,6 +101,8 @@ fn assert_descent_matches_the_oracle(graph: &SegmentCommGraph, depth: usize) {
     let case = format!("{} b{} H{depth}", graph.name(), graph.batch());
     assert_eq!(report, oracle, "{case}");
     assert_eq!(plan.levels(), &levels[..], "{case}");
+    let definition = common::oracle(graph, &levels, JunctionScaling::Consumer);
+    assert_eq!(plan.total_comm_elems(), definition, "{case}");
 }
 
 /// The branchy zoo and the trimmed nets, H0–16, five batches.

@@ -59,9 +59,11 @@ pub struct ArchConfig {
     /// How junction tensors are scoped when the hierarchy descends —
     /// consumer layout (default), producer layout, or unscaled.  Must
     /// match the interpretation the plan was costed under for the
-    /// simulated traffic to reconcile with the analytic total; the
-    /// `ablation` experiment sweeps the alternatives on chains and DAGs
-    /// alike.
+    /// simulated traffic to reconcile with the analytic total.  Only
+    /// tests simulate another mode: the `ablation` experiment sweeps the
+    /// modes through the planner and its analytic totals, not through the
+    /// simulator.  The field stays because request fingerprints hash the
+    /// serialized configuration.
     pub junction_scaling: JunctionScaling,
     /// Whether `add`/`concat` joins charge their element-wise
     /// accumulation/gather work to the compute model (`true` by default).

@@ -49,10 +49,7 @@
 
 use std::fmt;
 
-use hypar_comm::{
-    inter_split, intra_elems, junction_scale_between, LayerScale, NetworkCommTensors, Parallelism,
-    ScaleState,
-};
+use hypar_comm::{count_dp, CostTerms, NetworkCommTensors, Parallelism};
 use hypar_core::HierarchicalPlan;
 use hypar_graph::{SegmentCommGraph, SegmentEdge};
 use hypar_models::NetworkShapes;
@@ -192,11 +189,11 @@ pub fn simulate_single_accelerator(
     simulate_step(shapes, &plan, cfg)
 }
 
-/// Validates the stitched plan against the graph, splits it back into
-/// per-segment sub-plans, and assembles the multi-segment builder.
+/// Validates the stitched plan against the graph and assembles the
+/// multi-segment builder.
 fn graph_builder<'a>(
     graph: &'a SegmentCommGraph,
-    plan: &HierarchicalPlan,
+    plan: &'a HierarchicalPlan,
     cfg: &'a ArchConfig,
     trace: bool,
     copies: Copies,
@@ -207,67 +204,36 @@ fn graph_builder<'a>(
             network_layers: graph.num_layers(),
         });
     }
-    let mut segs = Vec::with_capacity(graph.num_segments());
-    let mut offset = 0;
-    for (s, tensors) in graph.segments().iter().enumerate() {
-        let len = tensors.len();
-        let levels: Vec<Vec<Parallelism>> = plan
-            .levels()
-            .iter()
-            .map(|level| level[offset..offset + len].to_vec())
-            .collect();
-        let names = plan.layer_names()[offset..offset + len].to_vec();
-        // The sub-plan total is never read — the simulator re-derives all
-        // traffic from the per-level choices.
-        let sub = HierarchicalPlan::from_parts(tensors.name(), names, levels, 0.0);
-        segs.push(Seg::new(graph.segment_shapes(s), tensors, sub));
-        offset += len;
-    }
-    Ok(Builder::new(
-        segs,
-        graph.edges().to_vec(),
-        plan.num_levels(),
-        cfg,
-        trace,
-        copies,
-    ))
+    Ok(Builder::new(graph, plan, cfg, trace, copies))
 }
 
-/// One chain segment's planning context inside a step simulation.  A chain
-/// network is exactly one `Seg`; a DAG is one per decomposed segment.
+/// One chain segment's place inside a step simulation.  A chain network
+/// is exactly one `Seg`; a DAG is one per decomposed segment.
 struct Seg<'a> {
     shapes: &'a NetworkShapes,
     net: &'a NetworkCommTensors,
-    plan: HierarchicalPlan,
-    /// Scale state *above* each level (index `h`), plus the leaf state at
-    /// index `H`.
-    scales_at: Vec<ScaleState>,
+    /// The segment's first layer in the whole-graph plan and cost terms.
+    first: usize,
+    /// Its first chain junction among the cost terms' pairs.
+    first_pair: usize,
 }
 
-impl<'a> Seg<'a> {
-    fn new(shapes: &'a NetworkShapes, net: &'a NetworkCommTensors, plan: HierarchicalPlan) -> Self {
-        let mut scales_at = Vec::with_capacity(plan.num_levels() + 1);
-        let mut s = ScaleState::identity(net.len());
-        scales_at.push(s.clone());
-        for level in plan.levels() {
-            s = s.descend(level);
-            scales_at.push(s.clone());
-        }
-        Self {
-            shapes,
-            net,
-            plan,
-            scales_at,
-        }
-    }
-
+impl Seg<'_> {
     fn len(&self) -> usize {
         self.net.len()
     }
+}
 
-    fn leaf(&self, l: usize) -> LayerScale {
-        self.scales_at[self.plan.num_levels()].layer(l)
-    }
+/// One transfer on one pair channel of level `h`: the level's array-wide
+/// integer term shared by its `2^h` pairs.  Exact: the term carries the
+/// count's significant bits times a power of two, and so does the quotient.
+fn per_pair(term: u128, h: usize) -> f64 {
+    term as f64 / (1u64 << h) as f64
+}
+
+/// The fraction `2^−halvings`.
+fn fraction(halvings: usize) -> f64 {
+    (-(halvings as f64)).exp2()
 }
 
 /// How many copies of each symmetric resource a [`Builder`] instantiates.
@@ -319,7 +285,17 @@ impl Copies {
 /// The tests keep the full replication ([`Copies::All`]) as the oracle.
 struct Builder<'a> {
     segs: Vec<Seg<'a>>,
-    edges: Vec<SegmentEdge>,
+    edges: &'a [SegmentEdge],
+    /// The whole-graph plan.
+    plan: &'a HierarchicalPlan,
+    /// The whole graph's exact cost terms: every transfer is one of their
+    /// per-level terms.
+    terms: CostTerms,
+    /// `dp_above[h][l]`: the levels above `h` at which layer `l` is dp;
+    /// row `H` holds each layer's dp levels, which fix its leaf tile.
+    dp_above: Vec<Vec<usize>>,
+    /// The pair of the terms that edge 0 is; the rest follow in order.
+    first_edge_pair: usize,
     num_levels: usize,
     cfg: &'a ArchConfig,
     engine: Engine,
@@ -345,13 +321,34 @@ struct Builder<'a> {
 
 impl<'a> Builder<'a> {
     fn new(
-        segs: Vec<Seg<'a>>,
-        edges: Vec<SegmentEdge>,
-        num_levels: usize,
+        graph: &'a SegmentCommGraph,
+        plan: &'a HierarchicalPlan,
         cfg: &'a ArchConfig,
         trace: bool,
         copies: Copies,
     ) -> Self {
+        // The terms hold each segment's layers, then its `len − 1` chain
+        // junctions, in segment order; the edges' pairs come last.
+        let mut segs = Vec::with_capacity(graph.num_segments());
+        let (mut first, mut first_pair) = (0, 0);
+        for (s, net) in graph.segments().iter().enumerate() {
+            let shapes = graph.segment_shapes(s);
+            segs.push(Seg {
+                shapes,
+                net,
+                first,
+                first_pair,
+            });
+            first += net.len();
+            first_pair += net.len().saturating_sub(1);
+        }
+        let mut dp_above = vec![vec![0; graph.num_layers()]];
+        for level in plan.levels() {
+            let mut below = dp_above[dp_above.len() - 1].clone();
+            count_dp(&mut below, level);
+            dp_above.push(below);
+        }
+        let num_levels = plan.num_levels();
         let mut engine = Engine::new();
         let accels = (0..copies.of(1 << num_levels))
             .map(|i| engine.add_resource(format!("accel{i}")))
@@ -367,7 +364,11 @@ impl<'a> Builder<'a> {
 
         Self {
             segs,
-            edges,
+            edges: graph.edges(),
+            plan,
+            terms: graph.cost_terms(),
+            dp_above,
+            first_edge_pair: first_pair,
             num_levels,
             cfg,
             engine,
@@ -389,6 +390,45 @@ impl<'a> Builder<'a> {
         1 << self.num_levels
     }
 
+    /// Segment `s` layer `l`'s choice at level `h`.
+    fn choice(&self, h: usize, s: usize, l: usize) -> Parallelism {
+        self.plan.choice(h, self.segs[s].first + l)
+    }
+
+    /// Segment `s` layer `l`'s level-`h` Table 1 transfer under `choice`
+    /// (its committed one), on one pair channel.
+    fn layer_elems(&self, s: usize, l: usize, h: usize, choice: Parallelism) -> f64 {
+        let layer = self.segs[s].first + l;
+        per_pair(
+            self.terms.layer_term(layer, choice, h, &self.dp_above[h]),
+            h,
+        )
+    }
+
+    /// Pair `e`'s level-`h` Table 2 transfer on one pair channel, as its
+    /// forward (`F`) and backward (`E`) parts: from dp half of it moves
+    /// each way, from mp all of it is error.
+    fn junction_elems(&self, e: usize, from: Parallelism, to: Parallelism, h: usize) -> (f64, f64) {
+        let mode = self.cfg.junction_scaling;
+        let term = self
+            .terms
+            .pair_term(e, (from, to), h, &self.dp_above[h], mode);
+        let elems = per_pair(term, h);
+        if from == Parallelism::Data {
+            (elems / 2.0, elems / 2.0)
+        } else {
+            (0.0, elems)
+        }
+    }
+
+    /// Segment `s` layer `l`'s tile on one accelerator: its batch fraction
+    /// `2^−k` and input-feature fraction `2^−(H − k)`, with `k` its dp
+    /// levels.
+    fn leaf(&self, s: usize, l: usize) -> (f64, f64) {
+        let k = self.dp_above[self.num_levels][self.segs[s].first + l];
+        (fraction(k), fraction(self.num_levels - k))
+    }
+
     /// A zero-duration join of `deps` on the dedicated barrier resource.
     fn barrier(&mut self, deps: &[TaskId]) -> TaskId {
         self.represented_tasks += 1;
@@ -403,17 +443,17 @@ impl<'a> Builder<'a> {
             return None;
         }
         let shape = self.segs[s].shapes.layer(l);
-        let leaf = self.segs[s].leaf(l);
+        let (batch_fraction, feature_fraction) = self.leaf(s, l);
         #[expect(
             clippy::cast_possible_truncation,
             reason = "a fraction in (0, 1] of a u64 count rounds up to at most that count"
         )]
         let scaled = |v: u64, frac: f64| ((v as f64 * frac).ceil() as u64).max(1);
-        let batch = scaled(shape.batch, leaf.batch_fraction().value());
+        let batch = scaled(shape.batch, batch_fraction);
         Some(if shape.is_conv {
             self.cfg.pe_array.map_conv(
                 shape.kernel_extent,
-                scaled(shape.input.channels, leaf.input_fraction().value()),
+                scaled(shape.input.channels, feature_fraction),
                 shape.conv_out.channels,
                 shape.conv_out.height,
                 shape.conv_out.width,
@@ -421,7 +461,7 @@ impl<'a> Builder<'a> {
             )
         } else {
             self.cfg.pe_array.map_fc(
-                scaled(shape.input.volume(), leaf.input_fraction().value()),
+                scaled(shape.input.volume(), feature_fraction),
                 shape.conv_out.channels,
                 batch,
             )
@@ -509,7 +549,7 @@ impl<'a> Builder<'a> {
     fn levels_with(&self, s: usize, l: usize, p: Parallelism) -> Vec<usize> {
         (0..self.num_levels)
             .rev()
-            .filter(|&h| self.segs[s].plan.choice(h, l) == p)
+            .filter(|&h| self.choice(h, s, l) == p)
             .collect()
     }
 
@@ -520,7 +560,8 @@ impl<'a> Builder<'a> {
     /// the committed parallelisms of the two boundary layers, scoped by
     /// the configured [`hypar_comm::JunctionScaling`] interpretation.
     /// Levels whose transfer is free (dp→dp) add no tasks.
-    fn edge_comm(&mut self, edge: SegmentEdge, forward: bool, deps: &[TaskId]) -> Vec<TaskId> {
+    fn edge_comm(&mut self, i: usize, forward: bool, deps: &[TaskId]) -> Vec<TaskId> {
+        let edge = self.edges[i];
         let last = self.segs[edge.from].len() - 1;
         let label = if self.trace {
             format!(
@@ -532,21 +573,15 @@ impl<'a> Builder<'a> {
         } else {
             String::new()
         };
-        let mut producer_scale = LayerScale::IDENTITY;
-        let mut consumer_scale = LayerScale::IDENTITY;
         let mut tasks = Vec::new();
         for h in 0..self.num_levels {
-            let prev = self.segs[edge.from].plan.choice(h, last);
-            let next = self.segs[edge.to].plan.choice(h, 0);
-            let scale =
-                junction_scale_between(producer_scale, consumer_scale, self.cfg.junction_scaling);
-            let (f_elems, e_elems) = inter_split(prev, next, edge.elems, scale);
+            let prev = self.choice(h, edge.from, last);
+            let next = self.choice(h, edge.to, 0);
+            let (f_elems, e_elems) = self.junction_elems(self.first_edge_pair + i, prev, next, h);
             let elems = if forward { f_elems } else { e_elems };
             if elems > 0.0 {
                 tasks.extend(self.comm_stage(h, elems, format_args!("{label}"), deps));
             }
-            producer_scale = producer_scale.descend(prev);
-            consumer_scale = consumer_scale.descend(next);
         }
         tasks
     }
@@ -567,11 +602,13 @@ impl<'a> Builder<'a> {
         fwd_exit: &[Vec<TaskId>],
         barrier_mode: bool,
     ) -> Vec<TaskId> {
-        let incoming: Vec<SegmentEdge> = self.edges.iter().copied().filter(|e| e.to == s).collect();
+        let incoming: Vec<usize> = (0..self.edges.len())
+            .filter(|&i| self.edges[i].to == s)
+            .collect();
         let entry = if barrier_mode {
             let mut tasks = Vec::new();
-            for &edge in &incoming {
-                tasks.extend(self.edge_comm(edge, true, stage_end));
+            for &i in &incoming {
+                tasks.extend(self.edge_comm(i, true, stage_end));
             }
             if tasks.is_empty() {
                 stage_end.to_vec()
@@ -580,9 +617,9 @@ impl<'a> Builder<'a> {
             }
         } else {
             let mut deps = Vec::new();
-            for &edge in &incoming {
-                let producer_exit = fwd_exit[edge.from].clone();
-                let tasks = self.edge_comm(edge, true, &producer_exit);
+            for &i in &incoming {
+                let producer_exit = fwd_exit[self.edges[i].from].clone();
+                let tasks = self.edge_comm(i, true, &producer_exit);
                 if tasks.is_empty() {
                     deps.extend(producer_exit);
                 } else {
@@ -591,7 +628,7 @@ impl<'a> Builder<'a> {
             }
             deps
         };
-        let join_elems: f64 = incoming.iter().map(|e| e.join_elems).sum();
+        let join_elems: f64 = incoming.iter().map(|&i| self.edges[i].join_elems).sum();
         // Exact-zero skip: a join stage is only scheduled when traffic exists, and absent traffic is an exact 0.0 sum.
         if !self.cfg.join_compute || join_elems == 0.0 {
             return entry;
@@ -618,12 +655,13 @@ impl<'a> Builder<'a> {
         bwd_exit: &[Vec<TaskId>],
         barrier_mode: bool,
     ) -> Vec<TaskId> {
-        let outgoing: Vec<SegmentEdge> =
-            self.edges.iter().copied().filter(|e| e.from == s).collect();
+        let outgoing: Vec<usize> = (0..self.edges.len())
+            .filter(|&i| self.edges[i].from == s)
+            .collect();
         if barrier_mode || outgoing.is_empty() {
             let mut tasks = Vec::new();
-            for &edge in &outgoing {
-                tasks.extend(self.edge_comm(edge, false, bwd_frontier));
+            for &i in &outgoing {
+                tasks.extend(self.edge_comm(i, false, bwd_frontier));
             }
             if tasks.is_empty() {
                 bwd_frontier.to_vec()
@@ -632,9 +670,9 @@ impl<'a> Builder<'a> {
             }
         } else {
             let mut contributions = Vec::new();
-            for &edge in &outgoing {
-                let consumer_exit = bwd_exit[edge.to].clone();
-                let tasks = self.edge_comm(edge, false, &consumer_exit);
+            for &i in &outgoing {
+                let consumer_exit = bwd_exit[self.edges[i].to].clone();
+                let tasks = self.edge_comm(i, false, &consumer_exit);
                 if tasks.is_empty() {
                     contributions.extend(consumer_exit);
                 } else {
@@ -653,13 +691,13 @@ impl<'a> Builder<'a> {
         let precision = f64::from(self.cfg.precision_bytes);
         for l in 0..num_layers {
             let layer = self.segs[s].shapes.layer(l);
-            let leaf = self.segs[s].leaf(l);
-            let view = self.segs[s].net.layer(l).clone();
+            let view = self.segs[s].net.layer(l);
+            let (batch, features) = self.leaf(s, l);
 
             // Forward compute: read W and F_l slices, write F_{l+1} slice.
-            let dram = (view.weight_elems * leaf.weight_scale()
-                + view.input_elems * leaf.input_scale()
-                + view.output_elems * leaf.output_scale())
+            let dram = (view.weight_elems * features
+                + view.input_elems * (batch * features)
+                + view.output_elems * batch)
                 * precision;
             let deps = stage_end.clone();
             let mapping = self.layer_mapping(s, l);
@@ -675,11 +713,7 @@ impl<'a> Builder<'a> {
             // mp output reductions, deepest level first (partial sums
             // combine pairwise up the tree, each level on its own links).
             for h in self.levels_with(s, l, Parallelism::Model) {
-                let elems = intra_elems(
-                    Parallelism::Model,
-                    &view,
-                    self.segs[s].scales_at[h].layer(l),
-                );
+                let elems = self.layer_elems(s, l, h, Parallelism::Model);
                 let deps = vec![self.barrier(&tasks)];
                 tasks = self.comm_stage(h, elems, format_args!("reduce F {}", layer.name), &deps);
             }
@@ -688,12 +722,9 @@ impl<'a> Builder<'a> {
             if l + 1 < num_layers {
                 let mut junction_tasks = Vec::new();
                 for h in 0..self.num_levels {
-                    let (f_elems, _) = inter_split(
-                        self.segs[s].plan.choice(h, l),
-                        self.segs[s].plan.choice(h, l + 1),
-                        view.junction_elems,
-                        self.segs[s].scales_at[h].junction_scale(l, self.cfg.junction_scaling),
-                    );
+                    let (prev, next) = (self.choice(h, s, l), self.choice(h, s, l + 1));
+                    let pair = self.segs[s].first_pair + l;
+                    let (f_elems, _) = self.junction_elems(pair, prev, next, h);
                     if f_elems > 0.0 {
                         let deps = vec![self.barrier(&tasks)];
                         let label = format_args!("xfer F {}", layer.name);
@@ -729,19 +760,16 @@ impl<'a> Builder<'a> {
 
         for l in (0..num_layers).rev() {
             let layer = self.segs[s].shapes.layer(l);
-            let leaf = self.segs[s].leaf(l);
-            let view = self.segs[s].net.layer(l).clone();
+            let view = self.segs[s].net.layer(l);
+            let (batch, features) = self.leaf(s, l);
 
             // Backward junction: E_{l+1} redistribution from layer l+1.
             if l + 1 < num_layers {
                 let mut junction_tasks = Vec::new();
                 for h in 0..self.num_levels {
-                    let (_, e_elems) = inter_split(
-                        self.segs[s].plan.choice(h, l),
-                        self.segs[s].plan.choice(h, l + 1),
-                        view.junction_elems,
-                        self.segs[s].scales_at[h].junction_scale(l, self.cfg.junction_scaling),
-                    );
+                    let (prev, next) = (self.choice(h, s, l), self.choice(h, s, l + 1));
+                    let pair = self.segs[s].first_pair + l;
+                    let (_, e_elems) = self.junction_elems(pair, prev, next, h);
                     if e_elems > 0.0 {
                         let deps = vec![self.barrier(&bwd_frontier)];
                         let label = format_args!("xfer E {}", layer.name);
@@ -759,9 +787,9 @@ impl<'a> Builder<'a> {
             let mut phase_tasks = Vec::new();
             let mapping = self.layer_mapping(s, l);
             if l > 0 || has_producer {
-                let dram = (view.weight_elems * leaf.weight_scale()
-                    + view.output_elems * leaf.output_scale()
-                    + view.input_elems * leaf.input_scale())
+                let dram = (view.weight_elems * features
+                    + view.output_elems * batch
+                    + view.input_elems * (batch * features))
                     * precision;
                 let deps = bwd_frontier.clone();
                 phase_tasks.extend(self.compute_stage(
@@ -773,9 +801,9 @@ impl<'a> Builder<'a> {
                     &deps,
                 ));
             }
-            let dram = (view.input_elems * leaf.input_scale()
-                + view.output_elems * leaf.output_scale()
-                + view.weight_elems * leaf.weight_scale())
+            let dram = (view.input_elems * (batch * features)
+                + view.output_elems * batch
+                + view.weight_elems * features)
                 * precision;
             let deps = bwd_frontier.clone();
             let grad_tasks = self.compute_stage(
@@ -797,8 +825,7 @@ impl<'a> Builder<'a> {
             // dp gradient all-reduce, deepest level first.
             let mut reduce_tail = vec![grad_barrier];
             for h in self.levels_with(s, l, Parallelism::Data) {
-                let elems =
-                    intra_elems(Parallelism::Data, &view, self.segs[s].scales_at[h].layer(l));
+                let elems = self.layer_elems(s, l, h, Parallelism::Data);
                 let deps = reduce_tail.clone();
                 let label = format_args!("allreduce dW {}", layer.name);
                 let tasks = self.comm_stage(h, elems, label, &deps);
@@ -806,7 +833,7 @@ impl<'a> Builder<'a> {
             }
 
             // Weight update: read ΔW, write W (element-wise add).
-            let w_slice = view.weight_elems * leaf.weight_scale();
+            let w_slice = view.weight_elems * features;
             let update_deps = if barrier_mode {
                 // Serialize: update waits for this layer's comm and compute.
                 vec![self.barrier(&[reduce_tail[0], phase_barrier])]
@@ -880,10 +907,30 @@ impl<'a> Builder<'a> {
         let _ = self.barrier(&finale);
     }
 
+    /// Per-accelerator resident footprint: weight, input and output
+    /// slices of every layer (activations are retained for the backward
+    /// pass).
+    fn footprint(&self) -> f64 {
+        let precision = f64::from(self.cfg.precision_bytes);
+        (0..self.segs.len())
+            .map(|s| {
+                let net = self.segs[s].net;
+                (0..net.len())
+                    .map(|l| {
+                        let (v, (batch, features)) = (net.layer(l), self.leaf(s, l));
+                        (v.weight_elems * features
+                            + v.input_elems * (batch * features)
+                            + v.output_elems * batch)
+                            * precision
+                    })
+                    .sum::<f64>()
+            })
+            .sum()
+    }
+
     fn finish(self) -> (StepReport, Option<String>) {
+        let footprint = self.footprint();
         let Self {
-            segs,
-            cfg,
             engine,
             accels,
             links,
@@ -911,29 +958,6 @@ impl<'a> Builder<'a> {
             .flatten()
             .map(|&r| schedule.busy_time(r))
             .fold(Seconds::ZERO, |a, b| if b > a { b } else { a });
-
-        // Per-accelerator resident footprint: weight, input and output
-        // slices of every layer (activations are retained for the backward
-        // pass).
-        let precision = f64::from(cfg.precision_bytes);
-        let footprint: f64 = segs
-            .iter()
-            .map(|seg| {
-                let leaf_state = &seg.scales_at[num_levels];
-                seg.net
-                    .layers()
-                    .iter()
-                    .enumerate()
-                    .map(|(l, v)| {
-                        let s = leaf_state.layer(l);
-                        (v.weight_elems * s.weight_scale()
-                            + v.input_elems * s.input_scale()
-                            + v.output_elems * s.output_scale())
-                            * precision
-                    })
-                    .sum::<f64>()
-            })
-            .sum();
 
         let comm_total: f64 = comm_bytes_per_level.iter().sum();
         let report = StepReport {

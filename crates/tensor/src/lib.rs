@@ -7,23 +7,20 @@
 //! other crate in the workspace:
 //!
 //! * [`FeatureDims`] — the `C×H×W` extent of one feature-map sample;
-//! * [`Frac`] — exact power-of-two fractions used to track how tensors
-//!   shrink as the hierarchical partition descends accelerator-array levels;
 //! * unit newtypes ([`Bytes`], [`Seconds`], [`Joules`]) so that quantities
 //!   with different meanings cannot be confused ([C-NEWTYPE]).
 //!
 //! # Examples
 //!
 //! ```
-//! use hypar_tensor::{FeatureDims, Frac};
+//! use hypar_tensor::{Bytes, FeatureDims};
 //!
 //! // One VGG conv5 output sample: 512 channels of 14×14.
 //! let dims = FeatureDims::new(512, 14, 14);
 //! assert_eq!(dims.volume(), 512 * 14 * 14);
 //!
-//! // After two data-parallel splits the batch fraction is 1/4.
-//! let frac = Frac::ONE.halved().halved();
-//! assert_eq!(frac.value(), 0.25);
+//! // The same sample at fp32.
+//! assert_eq!(Bytes::from_elems(dims.volume() as f64, 4).value(), 401_408.0);
 //! ```
 //!
 //! [C-NEWTYPE]: https://rust-lang.github.io/api-guidelines/type-safety.html
@@ -33,9 +30,7 @@
 #![warn(missing_debug_implementations)]
 
 mod dims;
-mod frac;
 mod units;
 
 pub use dims::FeatureDims;
-pub use frac::Frac;
 pub use units::{Bytes, Joules, Seconds};

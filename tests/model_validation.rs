@@ -1,30 +1,197 @@
 //! Cross-crate validation of the communication model and the partition
-//! algorithms against the paper's published numbers and against brute
-//! force.
+//! algorithms against the paper's published numbers, against brute force,
+//! and against the model's level-by-level definition in `f64`.
 
 use hypar_comm::{
-    level_cost, JunctionScaling, LevelCost, NetworkCommTensors, Parallelism, ScaleState,
+    count_dp, CostTerms, JunctionScaling, NetworkCommTensors,
+    Parallelism::{self, Data, Model},
 };
 use hypar_core::{baselines, evaluate::evaluate_plan, exhaustive, hierarchical, two_group};
 use hypar_models::zoo;
+
+const MODES: [JunctionScaling; 3] = [
+    JunctionScaling::Consumer,
+    JunctionScaling::Producer,
+    JunctionScaling::Unscaled,
+];
 
 fn view(name: &str, batch: u64) -> NetworkCommTensors {
     NetworkCommTensors::from_network(&zoo::by_name(name).expect("zoo name"), batch)
         .expect("valid network")
 }
 
-/// One group pair's itemized cost at every level of a plan, with the
-/// scales descending level by level as Algorithm 2 commits them.
-fn per_level(net: &NetworkCommTensors, levels: &[Vec<Parallelism>]) -> Vec<LevelCost> {
-    let mut scales = ScaleState::identity(net.len());
+/// The cost model's level-by-level definition in `f64`: each layer's batch
+/// and input-feature fractions, halved by every dp and every mp level
+/// above, scale one group pair's Table 1 and Table 2 amounts.
+struct Fractions {
+    batch: Vec<f64>,
+    features: Vec<f64>,
+}
+
+impl Fractions {
+    /// The top of the hierarchy: nothing is split.
+    fn top(len: usize) -> Self {
+        Self {
+            batch: vec![1.0; len],
+            features: vec![1.0; len],
+        }
+    }
+
+    /// Commits one level's choices.
+    fn descend(&mut self, level: &[Parallelism]) {
+        for (l, &choice) in level.iter().enumerate() {
+            match choice {
+                Data => self.batch[l] /= 2.0,
+                Model => self.features[l] /= 2.0,
+            }
+        }
+    }
+
+    /// Table 1 for one pair: `2·A(ΔW)` under dp, `2·A(F_out)` under mp.
+    fn intra(&self, net: &NetworkCommTensors, l: usize, choice: Parallelism) -> f64 {
+        match choice {
+            Data => 2.0 * net.layer(l).weight_elems * self.features[l],
+            Model => 2.0 * net.layer(l).output_elems * self.batch[l],
+        }
+    }
+
+    /// Table 2 for one pair at the junction `l → l + 1`: nothing from dp
+    /// to dp, otherwise the junction tensor in `mode`'s scope.
+    fn inter(
+        &self,
+        net: &NetworkCommTensors,
+        l: usize,
+        (prev, next): (Parallelism, Parallelism),
+        mode: JunctionScaling,
+    ) -> f64 {
+        if (prev, next) == (Data, Data) {
+            return 0.0;
+        }
+        let scope = match mode {
+            JunctionScaling::Consumer => self.batch[l + 1] * self.features[l + 1],
+            JunctionScaling::Producer => self.batch[l],
+            JunctionScaling::Unscaled => 1.0,
+        };
+        net.layer(l).junction_elems * scope
+    }
+
+    /// One pair's `(intra, inter)` amounts under `level`.
+    fn level_cost(
+        &self,
+        net: &NetworkCommTensors,
+        level: &[Parallelism],
+        mode: JunctionScaling,
+    ) -> (f64, f64) {
+        let intra = (0..net.len()).map(|l| self.intra(net, l, level[l])).sum();
+        let inter = (1..net.len())
+            .map(|l| self.inter(net, l - 1, (level[l - 1], level[l]), mode))
+            .sum();
+        (intra, inter)
+    }
+
+    /// Algorithm 1 on one pair's `f64` amounts: the Viterbi recursion,
+    /// ties toward dp on the predecessor and on the final state.
+    fn algorithm1(&self, net: &NetworkCommTensors, mode: JunctionScaling) -> Vec<Parallelism> {
+        let len = net.len();
+        let mut com = vec![[0.0f64; 2]; len];
+        let mut parent = vec![[Data; 2]; len];
+        com[0] = [self.intra(net, 0, Data), self.intra(net, 0, Model)];
+        for l in 1..len {
+            for (s, state) in [Data, Model].into_iter().enumerate() {
+                let from_dp = com[l - 1][0] + self.inter(net, l - 1, (Data, state), mode);
+                let from_mp = com[l - 1][1] + self.inter(net, l - 1, (Model, state), mode);
+                let (best, who) = if from_dp <= from_mp {
+                    (from_dp, Data)
+                } else {
+                    (from_mp, Model)
+                };
+                com[l][s] = best + self.intra(net, l, state);
+                parent[l][s] = who;
+            }
+        }
+        let mut state = if com[len - 1][0] <= com[len - 1][1] {
+            Data
+        } else {
+            Model
+        };
+        let mut assignment = vec![Data; len];
+        for l in (0..len).rev() {
+            assignment[l] = state;
+            state = parent[l][usize::from(state.bit())];
+        }
+        assignment
+    }
+}
+
+/// Algorithm 2 on the `f64` definition: Algorithm 1 level by level.
+fn f64_algorithm2(
+    net: &NetworkCommTensors,
+    num_levels: usize,
+    mode: JunctionScaling,
+) -> Vec<Vec<Parallelism>> {
+    let mut fractions = Fractions::top(net.len());
+    (0..num_levels)
+        .map(|_| {
+            let level = fractions.algorithm1(net, mode);
+            fractions.descend(&level);
+            level
+        })
+        .collect()
+}
+
+/// One group pair's `(intra, inter)` amounts at every level of a plan.
+fn per_level(net: &NetworkCommTensors, levels: &[Vec<Parallelism>]) -> Vec<(f64, f64)> {
+    let mut fractions = Fractions::top(net.len());
     levels
         .iter()
-        .map(|assignment| {
-            let cost = level_cost(net, &scales, assignment, JunctionScaling::Consumer);
-            scales = scales.descend(assignment);
+        .map(|level| {
+            let cost = fractions.level_cost(net, level, JunctionScaling::Consumer);
+            fractions.descend(level);
             cost
         })
         .collect()
+}
+
+/// Algorithm 2 on the integer terms (`hierarchical::partition_with`)
+/// picks the bits of Algorithm 2 on the `f64` definition, at every depth
+/// H0–16 in every junction mode: on the chain zoo and on every segment of
+/// the branchy zoo and of the trimmed nets, at 68 batches spread over
+/// 1–4,127 and at 2^24, 2^28 and 2^32, where `f64` sums round.
+#[test]
+fn integer_algorithm2_picks_the_f64_bits() {
+    let batches: Vec<u64> = (1..=4127)
+        .step_by(61)
+        .chain([1 << 24, 1 << 28, 1 << 32])
+        .collect();
+    let dags: Vec<_> = hypar_graph::zoo::all()
+        .into_iter()
+        .chain(hypar_graph::zoo::trimmed())
+        .collect();
+    let mut cases = 0;
+    for &batch in &batches {
+        let mut nets: Vec<NetworkCommTensors> = zoo::NAMES.iter().map(|n| view(n, batch)).collect();
+        for dag in &dags {
+            nets.extend(
+                dag.segments(batch)
+                    .expect("valid")
+                    .segments()
+                    .iter()
+                    .cloned(),
+            );
+        }
+        for net in &nets {
+            for mode in MODES {
+                let oracle = f64_algorithm2(net, 16, mode);
+                for depth in 0..=16 {
+                    let plan = hierarchical::partition_with(net, depth, mode);
+                    let case = format!("{} b{batch} H{depth} {mode:?}", net.name());
+                    assert_eq!(plan.levels(), &oracle[..depth], "{case}");
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert!(cases >= 150_000, "covered {cases} cases");
 }
 
 #[test]
@@ -57,23 +224,21 @@ fn dp_equals_brute_force_on_every_feasible_zoo_network() {
         if net.len() > 14 {
             continue; // 2^L too large for brute force; covered by proptests.
         }
-        let scales = ScaleState::identity(net.len());
-        let dp = two_group::partition(&net, &scales);
-        let (brute, assignment) = exhaustive::best_level(&net, &scales).unwrap();
-        assert!(
-            (dp.comm_elems - brute).abs() <= 1e-9 * brute.max(1.0),
-            "{name}: DP {} vs brute {brute}",
-            dp.comm_elems
-        );
-        // The assignments may differ only on exact ties.
-        let dp_cost =
-            level_cost(&net, &scales, &dp.assignment, JunctionScaling::Consumer).total_elems();
-        let brute_cost =
-            level_cost(&net, &scales, &assignment, JunctionScaling::Consumer).total_elems();
-        assert!(
-            (dp_cost - brute_cost).abs() <= 1e-9 * brute_cost.max(1.0),
-            "{name}"
-        );
+        let terms = CostTerms::chain(&net);
+        let mut dp_above = vec![0; net.len()];
+        for h in 0..3 {
+            for mode in MODES {
+                let dp = two_group::partition(&terms, h, &dp_above, mode);
+                let (brute, assignment) =
+                    exhaustive::best_level(&terms, h, &dp_above, mode).unwrap();
+                assert_eq!(dp.comm_elems, brute, "{name} H{h} {mode:?}");
+                // The assignments may differ only on exact ties.
+                let level = terms.level_total(&assignment, h, &dp_above, mode);
+                assert_eq!(level, brute, "{name} H{h} {mode:?}");
+            }
+            let top = two_group::partition(&terms, h, &dp_above, JunctionScaling::Consumer);
+            count_dp(&mut dp_above, &top.assignment);
+        }
     }
 }
 
@@ -114,25 +279,14 @@ fn uniform_baselines_scale_as_two_to_the_h_minus_one() {
 fn batch_size_flips_the_fc_decision() {
     // §6.5.2: fc3 (4096 x 1000) ties at batch 4096 (dp wins the tie) but
     // prefers mp at small batches.
-    let small = NetworkCommTensors::from_layers(
-        "fc3-b32",
-        32,
-        vec![hypar_comm::LayerCommTensors::fully_connected(
-            "fc3", 32, 4096, 1000,
-        )],
-    );
-    let result = two_group::partition(&small, &ScaleState::identity(1));
-    assert_eq!(result.assignment, vec![Parallelism::Model]);
-
-    let large = NetworkCommTensors::from_layers(
-        "fc3-b4096",
-        4096,
-        vec![hypar_comm::LayerCommTensors::fully_connected(
-            "fc3", 4096, 4096, 1000,
-        )],
-    );
-    let result = two_group::partition(&large, &ScaleState::identity(1));
-    assert_eq!(result.assignment, vec![Parallelism::Data]);
+    let fc3 = |batch| {
+        let layer = hypar_comm::LayerCommTensors::fully_connected("fc3", batch, 4096, 1000);
+        CostTerms::chain(&NetworkCommTensors::from_layers("fc3", batch, vec![layer]))
+    };
+    let small = two_group::partition(&fc3(32), 0, &[0], JunctionScaling::Consumer);
+    assert_eq!(small.assignment, vec![Model]);
+    let large = two_group::partition(&fc3(4096), 0, &[0], JunctionScaling::Consumer);
+    assert_eq!(large.assignment, vec![Data]);
 }
 
 #[test]
@@ -145,7 +299,7 @@ fn evaluate_plan_is_additive_over_levels() {
     let total: f64 = levels
         .iter()
         .zip([1.0, 2.0, 4.0, 8.0])
-        .map(|(cost, pairs)| pairs * cost.total_elems())
+        .map(|(&(intra, inter), pairs)| pairs * (intra + inter))
         .sum();
     assert_eq!(total, evaluate_plan(&net, plan.levels()).total_elems());
     assert_eq!(total, plan.total_comm_elems());
@@ -165,8 +319,8 @@ fn zero_inter_layer_cost_iff_all_dp() {
     // junction or reduction traffic somewhere.
     let net = view("Lenet-c", 256);
     let dp = baselines::all_data(&net, 4);
-    for level in per_level(&net, dp.levels()) {
-        assert!(level.inter.iter().all(|&x| x == 0.0));
+    for (_, inter) in per_level(&net, dp.levels()) {
+        assert_eq!(inter, 0.0);
     }
     // So all-dp pays exactly the gradient exchange: 2·A(W)·(2^H − 1).
     let weights: f64 = net.layers().iter().map(|l| l.weight_elems).sum();
@@ -174,6 +328,6 @@ fn zero_inter_layer_cost_iff_all_dp() {
     let hypar = hierarchical::partition(&net, 4);
     let any_inter = per_level(&net, hypar.levels())
         .iter()
-        .any(|l| l.inter.iter().any(|&x| x > 0.0));
+        .any(|&(_, inter)| inter > 0.0);
     assert!(any_inter, "Lenet-c's hybrid plan crosses layouts somewhere");
 }

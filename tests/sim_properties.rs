@@ -133,3 +133,74 @@ proptest! {
         }
     }
 }
+
+/// Every report of a grid of simulations, folded into one digest: the
+/// chain and branchy zoo at b64 × H0, 1, 4 and 12 × `overlap_comm` off and
+/// on × `detailed_pe` off and on × every junction scaling, each for the
+/// `hypar` plan and a seeded pseudo-random plan.  Any change to a transfer
+/// size, a DRAM sum or the schedule of any of them moves the digest.
+#[test]
+fn reports_over_both_zoos_are_pinned() {
+    use hypar_comm::JunctionScaling;
+    use hypar_graph::{partition_graph_with, SegmentCommGraph};
+    use hypar_telemetry::statehash::{hash_hex, StateHash, StateHasher};
+
+    let mut graphs: Vec<SegmentCommGraph> = hypar_models::zoo::NAMES
+        .iter()
+        .map(|name| {
+            let net = hypar_models::zoo::by_name(name).expect("zoo network");
+            SegmentCommGraph::chain(NetworkShapes::infer(&net, 64).expect("valid"))
+        })
+        .collect();
+    for dag in hypar_graph::zoo::all() {
+        graphs.push(dag.segments(64).expect("valid"));
+    }
+    let modes = [
+        JunctionScaling::Consumer,
+        JunctionScaling::Producer,
+        JunctionScaling::Unscaled,
+    ];
+    let mut digest = StateHasher::new();
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    for graph in &graphs {
+        let names: Vec<String> = graph
+            .segments()
+            .iter()
+            .flat_map(|s| s.layers().iter().map(|l| l.name.clone()))
+            .collect();
+        for depth in [0, 1, 4, 12] {
+            for mode in modes {
+                let hypar = partition_graph_with(graph, depth, mode).expect("plannable");
+                let levels = (0..depth)
+                    .map(|_| {
+                        (0..names.len())
+                            .map(|_| {
+                                state ^= state << 13;
+                                state ^= state >> 7;
+                                state ^= state << 17;
+                                Parallelism::from_bit(state & 1 == 1)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let random = HierarchicalPlan::from_parts(graph.name(), names.clone(), levels, 0.0);
+                for plan in [&hypar, &random] {
+                    for overlap in [false, true] {
+                        for detailed_pe in [false, true] {
+                            let mut cfg = ArchConfig::paper()
+                                .with_overlap(overlap)
+                                .with_junction_scaling(mode);
+                            if detailed_pe {
+                                cfg = cfg.with_detailed_pe();
+                            }
+                            let report = training::simulate_graph_step(graph, plan, &cfg)
+                                .expect("plan matches the graph");
+                            digest.write_u64(report.state_hash());
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(hash_hex(digest.finish()), "279509fd43f2f8b2");
+}
