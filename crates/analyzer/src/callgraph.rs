@@ -23,24 +23,20 @@
 //! # How reachability is computed
 //!
 //! **must-reach** is the closure of the justified edges above, seeded at
-//! the configured service entry points
-//! ([`crate::config::Config::entry_points`]: `PlanEngine::plan*`,
-//! `service::handle_*`/`serve_*`, the engine and replay `main`s,
-//! scenario/replay/golden runners).  It scopes the `lock-order` and
-//! `recurse-request` analyses and provides the `entry_trace` call
-//! chains, so every finding on a request path carries a justifiable
-//! path from an entry point.  A workspace with no entry points gets no
-//! interprocedural findings.
+//! the service entry points ([`crate::config::ENTRY_POINTS`]:
+//! `PlanEngine::plan*`, `service::handle_*`/`serve_*`, the engine and
+//! replay `main`s, scenario/replay/golden runners).  It scopes the
+//! `lock-order` and `recurse-request` analyses and provides the
+//! `entry_trace` call chains, so every finding on a request path carries
+//! a justifiable path from an entry point.  A graph with no entry points
+//! would give no interprocedural findings, so [`crate::scan_workspace`]
+//! refuses one.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::config::Config;
-use crate::json::escape;
-use crate::lexer::{Token, TokenKind};
+use crate::config::ENTRY_POINTS;
+use crate::lexer::Token;
 use crate::rules::{is_punct, is_word};
-
-/// Schema identifier stamped into the `--callgraph json` document.
-pub const CALLGRAPH_SCHEMA: &str = "hypar-analyzer-callgraph/v1";
 
 /// Method names that shadow std-prelude/collection methods, or methods
 /// of crates outside the scan roots: a dotted call through one of these
@@ -150,10 +146,6 @@ pub struct FnNode {
     pub file_idx: usize,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// Whether the fn is `pub` (any visibility wider than private).
-    pub is_pub: bool,
-    /// Whether the fn matches a configured service entry point.
-    pub is_entry: bool,
     /// Token indices of the body `{`/`}` in its file.
     pub body: Option<(usize, usize)>,
     /// The `impl` block's type name when the fn is a method
@@ -187,8 +179,8 @@ pub struct CallGraph {
     by_file: Vec<Vec<usize>>,
 }
 
-/// One scanned file: `(rel_path, source, tokens, parsed)`.
-pub(crate) type FileUnit = (String, String, Vec<Token>, crate::parse::Parsed);
+/// One scanned file: `(rel_path, tokens, parsed)`.
+pub(crate) type FileUnit = (String, Vec<Token>, crate::parse::Parsed);
 
 /// The module path of a file: `crates/engine/src/service.rs` →
 /// `["engine", "service"]`, `lib.rs`/`mod.rs` collapse into the parent,
@@ -308,34 +300,6 @@ fn use_tree(
     i
 }
 
-/// Whether the `fn` keyword at token `at` carries a `pub`-family
-/// visibility (looks back over `const`/`async`/`unsafe`/`extern "C"` and
-/// `pub(crate)` groups).
-fn fn_is_pub(tokens: &[Token], at: usize) -> bool {
-    let mut j = at;
-    for _ in 0..8 {
-        if j == 0 {
-            return false;
-        }
-        j -= 1;
-        let tok = &tokens[j];
-        if is_word(tok) {
-            match tok.text.as_str() {
-                "pub" => return true,
-                "const" | "async" | "unsafe" | "extern" | "crate" | "super" | "in" | "self" => {
-                    continue
-                }
-                _ => return false,
-            }
-        }
-        if tok.kind == TokenKind::Str || is_punct(tok, '(') || is_punct(tok, ')') {
-            continue;
-        }
-        return false;
-    }
-    false
-}
-
 /// `impl` blocks in a token stream: `(type_name, open, close)` token
 /// spans.  `impl fmt::Display for Layer` records `Layer`; generics are
 /// skipped.  `-> impl Trait` return types are excluded by requiring the
@@ -409,14 +373,14 @@ fn impl_blocks(tokens: &[Token]) -> Vec<(String, usize, usize)> {
 
 impl CallGraph {
     /// Builds the graph over the scanned files.
-    pub(crate) fn build(files: &[FileUnit], config: &Config) -> CallGraph {
+    pub(crate) fn build(files: &[FileUnit]) -> CallGraph {
         let masks: Vec<Vec<bool>> = files
             .iter()
-            .map(|(_, _, tokens, _)| crate::rules::test_mask(tokens))
+            .map(|(_, tokens, _)| crate::rules::test_mask(tokens))
             .collect();
         let aliases: Vec<BTreeMap<String, Vec<String>>> = files
             .iter()
-            .map(|(_, _, tokens, _)| use_aliases(tokens))
+            .map(|(_, tokens, _)| use_aliases(tokens))
             .collect();
 
         // Pass 1: nodes.
@@ -425,7 +389,8 @@ impl CallGraph {
         let mut by_file = vec![Vec::new(); files.len()];
         let mut by_name: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut by_impl: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
-        for (file_idx, (path, _, tokens, parsed)) in files.iter().enumerate() {
+        let mut entries = Vec::new();
+        for (file_idx, (path, tokens, parsed)) in files.iter().enumerate() {
             let module = module_segments(path);
             let impls = impl_blocks(tokens);
             let mut cursor = 0usize;
@@ -451,10 +416,6 @@ impl CallGraph {
                     continue; // test-gated fn: not part of the graph
                 }
                 let label = format!("{}::{}", module.join("::"), sig.name);
-                let is_entry = config
-                    .entry_points
-                    .iter()
-                    .any(|(suffix, prefix)| path.ends_with(suffix) && sig.name.starts_with(prefix));
                 // Innermost enclosing `impl` block gives the method's
                 // self type.
                 let impl_type = impls
@@ -468,11 +429,15 @@ impl CallGraph {
                     file: path.clone(),
                     file_idx,
                     line: sig.line,
-                    is_pub: fn_is_pub(tokens, kw),
-                    is_entry,
                     body: sig.body,
                     impl_type,
                 });
+                if ENTRY_POINTS
+                    .iter()
+                    .any(|(suffix, prefix)| path.ends_with(suffix) && sig.name.starts_with(prefix))
+                {
+                    entries.push(idx);
+                }
                 by_sig.insert((file_idx, sig.name.clone(), sig.line), idx);
                 by_file[file_idx].push(idx);
                 by_name.entry(sig.name.clone()).or_default().push(idx);
@@ -488,7 +453,7 @@ impl CallGraph {
         // Pass 2: edges.
         let mut calls = vec![Vec::new(); nodes.len()];
         let mut must_out = vec![BTreeSet::new(); nodes.len()];
-        for (file_idx, (path, _, tokens, parsed)) in files.iter().enumerate() {
+        for (file_idx, (path, tokens, parsed)) in files.iter().enumerate() {
             let crate_root = module_segments(path)
                 .first()
                 .cloned()
@@ -589,13 +554,6 @@ impl CallGraph {
             }
         }
 
-        let entries: Vec<usize> = nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_entry)
-            .map(|(i, _)| i)
-            .collect();
-
         // must-reach: BFS from entries over justified edges, recording
         // parents so findings can print an entry trace.
         let mut must_reach = vec![false; nodes.len()];
@@ -628,8 +586,7 @@ impl CallGraph {
         }
     }
 
-    /// Whether the workspace exposes any configured entry point.  With
-    /// none, every reachability refinement is skipped.
+    /// Whether any [`ENTRY_POINTS`] entry names a function in the graph.
     #[must_use]
     pub fn has_entries(&self) -> bool {
         !self.entries.is_empty()
@@ -682,91 +639,6 @@ impl CallGraph {
             .into_iter()
             .map(|n| self.nodes[n].label.clone())
             .collect()
-    }
-
-    /// Graphviz rendering of the justified edges (entries doubled).
-    #[must_use]
-    pub fn to_dot(&self) -> String {
-        let mut out = String::from("digraph callgraph {\n  rankdir=LR;\n  node [shape=box];\n");
-        for (i, node) in self.nodes.iter().enumerate() {
-            let shape = if node.is_entry {
-                " [peripheries=2,style=bold]"
-            } else if self.must_reach[i] {
-                ""
-            } else {
-                " [style=dotted]"
-            };
-            out.push_str(&format!("  \"{}\"{shape};\n", node.label));
-        }
-        for (i, outs) in self.must_out.iter().enumerate() {
-            for &j in outs {
-                out.push_str(&format!(
-                    "  \"{}\" -> \"{}\";\n",
-                    self.nodes[i].label, self.nodes[j].label
-                ));
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// The `--callgraph json` document: nodes with entry/reachable
-    /// marks, justified edges, and the entry list.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", escape(CALLGRAPH_SCHEMA)));
-        out.push_str(&format!("  \"functions\": {},\n", self.nodes.len()));
-        out.push_str(&format!(
-            "  \"entries\": [{}],\n",
-            self.entries
-                .iter()
-                .map(|&e| escape(&self.nodes[e].label))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str("  \"nodes\": [");
-        let mut first = true;
-        for (i, node) in self.nodes.iter().enumerate() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n    {{\"id\": {}, \"file\": {}, \"line\": {}, \"pub\": {}, \
-                 \"entry\": {}, \"reachable\": {}}}",
-                escape(&node.label),
-                escape(&node.file),
-                node.line,
-                node.is_pub,
-                node.is_entry,
-                self.must_reach[i]
-            ));
-        }
-        if !first {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n");
-        out.push_str("  \"edges\": [");
-        let mut first = true;
-        for (i, outs) in self.must_out.iter().enumerate() {
-            for &j in outs {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!(
-                    "\n    {{\"from\": {}, \"to\": {}}}",
-                    escape(&self.nodes[i].label),
-                    escape(&self.nodes[j].label)
-                ));
-            }
-        }
-        if !first {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
     }
 }
 
@@ -902,13 +774,13 @@ mod tests {
             .map(|(path, src)| {
                 let tokens = lex(src);
                 let parsed = parse(&tokens);
-                ((*path).to_string(), (*src).to_string(), tokens, parsed)
+                ((*path).to_string(), tokens, parsed)
             })
             .collect()
     }
 
     fn graph_of(sources: &[(&str, &str)]) -> CallGraph {
-        CallGraph::build(&files_of(sources), &Config::default())
+        CallGraph::build(&files_of(sources))
     }
 
     fn node(graph: &CallGraph, label: &str) -> usize {
@@ -1059,26 +931,5 @@ mod tests {
             "pub fn handle_line() {}\n#[cfg(test)]\nmod tests { fn t() { handle_line(); } }\n",
         )]);
         assert_eq!(graph.nodes.len(), 1);
-    }
-
-    #[test]
-    fn dot_and_json_render() {
-        let graph = graph_of(&[(
-            "crates/engine/src/service.rs",
-            "pub fn handle_line() { step(); }\nfn step() {}\n",
-        )]);
-        let dot = graph.to_dot();
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.contains("\"engine::service::handle_line\" -> \"engine::service::step\""));
-        let doc: serde_json::Value = serde_json::from_str(&graph.to_json()).expect("valid json");
-        assert_eq!(
-            doc.get("schema").and_then(serde_json::Value::as_str),
-            Some(CALLGRAPH_SCHEMA)
-        );
-        let edges = doc
-            .get("edges")
-            .and_then(serde_json::Value::as_array)
-            .expect("edges");
-        assert_eq!(edges.len(), 1);
     }
 }

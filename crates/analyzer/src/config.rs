@@ -3,7 +3,7 @@
 //! The per-crate lint policy (panics, wall clocks, unordered maps, float
 //! equality, narrowing casts, dropped `Result`s) lives in the workspace
 //! `[workspace.lints.clippy]` table; [`SERVICE_CRATES`] names the crates
-//! that must opt into it.  The analyzer itself only needs the scan roots
+//! that must opt into it.  The analyzer itself reads only the scan roots
 //! and the service entry points its call graph is seeded from.
 
 /// Crates whose code can be reached from a `PlanRequest`: each opts
@@ -54,40 +54,13 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
     ("crates/replay/src/golden.rs", "verify"),
 ];
 
-/// The analyzer configuration: scan roots plus entry points.
-#[derive(Clone, Debug)]
-pub struct Config {
-    /// Workspace-relative directories to walk, in order.
-    pub scan_roots: Vec<String>,
-    /// `(file-path suffix, fn-name prefix)` service entry points
-    /// seeding the reachability closure.
-    pub entry_points: Vec<(String, String)>,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            scan_roots: SCAN_ROOTS.iter().map(|s| (*s).to_string()).collect(),
-            entry_points: ENTRY_POINTS
-                .iter()
-                .map(|(suffix, prefix)| ((*suffix).to_string(), (*prefix).to_string()))
-                .collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn entry_points_cover_the_request_surface() {
-        let cfg = Config::default();
-        let covers = |suffix: &str, prefix: &str| {
-            cfg.entry_points
-                .iter()
-                .any(|(s, p)| s == suffix && p == prefix)
-        };
+        let covers = |suffix: &str, prefix: &str| ENTRY_POINTS.contains(&(suffix, prefix));
         assert!(covers("crates/engine/src/service.rs", "handle_"));
         assert!(covers("crates/engine/src/engine.rs", "plan"));
         assert!(covers("crates/replay/src/golden.rs", "verify"));
@@ -95,16 +68,18 @@ mod tests {
 
     #[test]
     fn scan_roots_are_sorted_and_include_facade_and_examples() {
-        let roots = Config::default().scan_roots;
-        let mut sorted = roots.clone();
-        sorted.sort();
+        let mut sorted = SCAN_ROOTS.to_vec();
+        sorted.sort_unstable();
         sorted.dedup();
-        assert_eq!(roots, sorted);
+        assert_eq!(SCAN_ROOTS, sorted);
         for name in SERVICE_CRATES {
-            assert!(roots.contains(&format!("crates/{name}/src")), "{name}");
+            assert!(
+                SCAN_ROOTS.contains(&format!("crates/{name}/src").as_str()),
+                "{name}"
+            );
         }
-        assert!(roots.contains(&"crates/bench/src".to_string()));
-        assert!(roots.contains(&"src".to_string()));
-        assert!(roots.contains(&"examples".to_string()));
+        for root in ["crates/bench/src", "src", "examples"] {
+            assert!(SCAN_ROOTS.contains(&root), "{root}");
+        }
     }
 }

@@ -11,7 +11,7 @@
 //!    single token whose *contents* are never re-lexed, so
 //!    `"panic!(..)"` or `'"'` can never trip a rule either.
 //! 3. **It never panics and always terminates**, whatever bytes it is
-//!    fed (exercised by `--self-fuzz` and the fixture tests): malformed
+//!    fed (exercised by the fuzz test and the fixture tests): malformed
 //!    input degrades to junk punct tokens or an unterminated literal
 //!    that runs to end of file.
 

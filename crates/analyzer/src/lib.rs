@@ -18,15 +18,16 @@
 //! source) feeding a never-panicking brace/paren-matched [`parse`]
 //! layer, and a workspace-wide [`callgraph`] (nodes `crate::module::fn`,
 //! edges only where a call site resolves unambiguously) seeded at the
-//! configured service entry points.  Findings on a reachable path carry
-//! an `entry_trace` — the call chain from the entry point — so reports
-//! read like backtraces.  Any finding fails the run: the gate tolerates
-//! nothing.
+//! service entry points in [`config::ENTRY_POINTS`].  Findings on a
+//! reachable path carry an `entry_trace` — the call chain from the entry
+//! point — which the report prints under the finding, entry first, so a
+//! report reads like a backtrace.  Any finding fails the run: the gate
+//! tolerates nothing.
 
 pub mod callgraph;
 pub mod config;
-pub mod fuzz;
-pub mod json;
+#[cfg(test)]
+mod fuzz;
 pub mod lexer;
 pub mod parse;
 pub mod report;
@@ -35,7 +36,6 @@ pub mod rules;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use config::Config;
 use report::Finding;
 
 /// Directory names never descended into while scanning.
@@ -43,33 +43,40 @@ const SKIP_DIRS: &[&str] = &["tests", "fixtures", "target"];
 
 /// Scans the workspace rooted at `root` and returns sorted findings.
 ///
-/// Every file under the configured scan roots is lexed, parsed, and
+/// Every file under [`config::SCAN_ROOTS`] is lexed, parsed, and
 /// checked for `lock-scope`; then the call graph is built and the
 /// interprocedural rules run over it.  Integration `tests/` directories
 /// are skipped here and `#[cfg(test)]` items are masked by the rules.
-pub fn scan_workspace(root: &Path, config: &Config) -> Result<Vec<Finding>, String> {
-    let files = collect_files(root, config)?;
+///
+/// # Errors
+///
+/// `root` is not a workspace root (no `Cargo.toml` and `crates/`), a
+/// file cannot be read, or no [`config::ENTRY_POINTS`] entry names a
+/// function in the tree.  Each of these would otherwise scan cleanly
+/// and hide every interprocedural finding.
+pub fn scan_workspace(root: &Path) -> Result<Vec<Finding>, String> {
+    validate_root(root)?;
+    let files = collect_files(root)?;
     let mut findings = Vec::new();
-    for (rel_path, source, tokens, parsed) in &files {
-        findings.extend(rules::check_file(rel_path, source, tokens, parsed));
+    for (rel_path, tokens, parsed) in &files {
+        findings.extend(rules::check_file(rel_path, tokens, parsed));
     }
-    let graph = callgraph::CallGraph::build(&files, config);
+    let graph = callgraph::CallGraph::build(&files);
+    if !graph.has_entries() {
+        return Err(format!(
+            "no service entry point resolves under {}; the call-graph rules would see nothing",
+            root.display()
+        ));
+    }
     let mut findings = rules::interproc::apply(&files, &graph, findings);
     report::sort(&mut findings);
     Ok(findings)
 }
 
-/// Builds the workspace call graph (the same one `scan_workspace` uses
-/// for the interprocedural rules) for `--callgraph` output.
-pub fn callgraph_of(root: &Path, config: &Config) -> Result<callgraph::CallGraph, String> {
-    let files = collect_files(root, config)?;
-    Ok(callgraph::CallGraph::build(&files, config))
-}
-
-/// Lexes and parses every file under the configured scan roots.
-fn collect_files(root: &Path, config: &Config) -> Result<Vec<callgraph::FileUnit>, String> {
+/// Lexes and parses every file under the scan roots.
+fn collect_files(root: &Path) -> Result<Vec<callgraph::FileUnit>, String> {
     let mut files = Vec::new();
-    for rel_root in &config.scan_roots {
+    for rel_root in config::SCAN_ROOTS {
         let dir = root.join(rel_root);
         if !dir.is_dir() {
             continue;
@@ -79,7 +86,7 @@ fn collect_files(root: &Path, config: &Config) -> Result<Vec<callgraph::FileUnit
                 .map_err(|e| format!("reading {rel_path}: {e}"))?;
             let tokens = lexer::lex(&source);
             let parsed = parse::parse(&tokens);
-            files.push((rel_path, source, tokens, parsed));
+            files.push((rel_path, tokens, parsed));
         }
     }
     Ok(files)
@@ -115,7 +122,7 @@ fn rs_files(dir: &Path, rel: &str) -> Result<Vec<String>, String> {
 /// Checks that `root` looks like this workspace (catches running the
 /// binary from a subdirectory, where every scan root would silently be
 /// missing and the tree would look spotless).
-pub fn validate_root(root: &Path) -> Result<(), String> {
+fn validate_root(root: &Path) -> Result<(), String> {
     if root.join("Cargo.toml").is_file() && root.join("crates").is_dir() {
         Ok(())
     } else {

@@ -22,7 +22,7 @@
 //! guess, and malformed input degrades to fewer statements, never to a
 //! panic.  The parser shares the lexer's contract: **it never panics and
 //! always terminates**, whatever token stream it is fed (exercised by
-//! `--self-fuzz`, which runs every mutant through [`parse`]).
+//! the fuzz test, which runs every mutant through [`parse`]).
 
 use crate::lexer::{Token, TokenKind};
 

@@ -4,7 +4,7 @@
 //!
 //! * [`structural`] — `lock-scope`, which needs statement and scope
 //!   shape from [`crate::parse`];
-//! * [`interproc`] — `lock-order` and `recurse-request`, which run over
+//! * `interproc` — `lock-order` and `recurse-request`, which run over
 //!   the workspace [`crate::callgraph`].
 //!
 //! **Test code is exempt**: any item under a `#[cfg(test)]` / `#[test]`
@@ -22,7 +22,6 @@ use crate::report::Finding;
 /// Shared per-file context for finding construction.
 pub(crate) struct Ctx<'a> {
     pub path: &'a str,
-    pub source: &'a str,
     pub tokens: &'a [Token],
 }
 
@@ -52,30 +51,16 @@ impl Ctx<'_> {
             rule,
             message,
             span: (start, end),
-            snippet: snippet_of(self.source, line_tok.line),
             entry_trace: Vec::new(),
         }
     }
 }
 
-/// The trimmed source text of 1-based `line`.
-pub(crate) fn snippet_of(source: &str, line: u32) -> String {
-    source
-        .lines()
-        .nth(line.saturating_sub(1) as usize)
-        .map(|l| l.trim().to_string())
-        .unwrap_or_default()
-}
-
 /// Runs the per-file rule (`lock-scope`) over one file.
 #[must_use]
-pub fn check_file(path: &str, source: &str, tokens: &[Token], parsed: &Parsed) -> Vec<Finding> {
+pub fn check_file(path: &str, tokens: &[Token], parsed: &Parsed) -> Vec<Finding> {
     let masked = test_mask(tokens);
-    let ctx = Ctx {
-        path,
-        source,
-        tokens,
-    };
+    let ctx = Ctx { path, tokens };
     let mut findings = Vec::new();
     structural::check(&ctx, &parsed.root, &masked, &mut findings);
     findings
@@ -87,7 +72,7 @@ pub fn check_file(path: &str, source: &str, tokens: &[Token], parsed: &Parsed) -
 pub fn check_source(path: &str, source: &str) -> Vec<Finding> {
     let tokens = crate::lexer::lex(source);
     let parsed = crate::parse::parse(&tokens);
-    check_file(path, source, &tokens, &parsed)
+    check_file(path, &tokens, &parsed)
 }
 
 /// Ident or raw ident (`r#lock` behaves like `lock`).
@@ -235,6 +220,6 @@ mod tests {
             text.ends_with("plan_many("),
             "span {start}..{end} -> {text:?}"
         );
-        assert_eq!(findings[0].snippet, "let g = c.m.lock();");
+        assert_eq!(findings[0].line, 2);
     }
 }

@@ -11,8 +11,8 @@ use crate::lexer::Token;
 use crate::parse::{Block, Stmt};
 use crate::report::Finding;
 
+use super::is_word;
 use super::structural::{drops, guard_binding};
-use super::{is_word, snippet_of};
 
 /// Ident substrings that count as an explicit recursion guard: a cycle
 /// whose body threads a depth/budget value is bounded by construction.
@@ -20,19 +20,16 @@ const GUARD_HINTS: &[&str] = &["depth", "budget", "limit", "fuel", "remaining"];
 
 /// Runs the interprocedural pass: attaches `entry_trace`s to the
 /// per-file findings and appends the `lock-order` and `recurse-request`
-/// findings.  A workspace with no entry points gets neither.
+/// findings.
 pub(crate) fn apply(
     files: &[FileUnit],
     graph: &CallGraph,
     mut findings: Vec<Finding>,
 ) -> Vec<Finding> {
-    if !graph.has_entries() {
-        return findings;
-    }
     let file_index: BTreeMap<&str, usize> = files
         .iter()
         .enumerate()
-        .map(|(i, (path, _, _, _))| (path.as_str(), i))
+        .map(|(i, (path, _, _))| (path.as_str(), i))
         .collect();
     for finding in &mut findings {
         let node = file_index
@@ -55,7 +52,7 @@ fn node_of_finding(
     file_idx: usize,
     finding: &Finding,
 ) -> Option<usize> {
-    let tokens = &files[file_idx].2;
+    let tokens = &files[file_idx].1;
     let tok = if finding.span != (0, 0) {
         let at = tokens.partition_point(|t| t.start < finding.span.0);
         tokens
@@ -102,7 +99,7 @@ fn lock_order(files: &[FileUnit], graph: &CallGraph) -> Vec<Finding> {
     let n = graph.nodes.len();
     // Acquisitions per must-reachable node.
     let mut acqs: Vec<Vec<Acquisition>> = vec![Vec::new(); n];
-    for (file_idx, (_, _, tokens, parsed)) in files.iter().enumerate() {
+    for (file_idx, (_, tokens, parsed)) in files.iter().enumerate() {
         let masked = super::test_mask(tokens);
         let mut stmts = Vec::new();
         walk_stmts(&parsed.root, &mut stmts);
@@ -183,7 +180,7 @@ fn lock_order(files: &[FileUnit], graph: &CallGraph) -> Vec<Finding> {
             continue;
         }
         let file_idx = graph.nodes[node].file_idx;
-        let tokens = &files[file_idx].2;
+        let tokens = &files[file_idx].1;
         for a in node_acqs {
             let scope_end = scope_end(tokens, a);
             for b in node_acqs {
@@ -246,7 +243,6 @@ fn lock_order(files: &[FileUnit], graph: &CallGraph) -> Vec<Finding> {
             rule: "lock-order",
             message,
             span: witness.span,
-            snippet: snippet_of(&files[graph.nodes[witness.holder].file_idx].1, witness.line),
             entry_trace: graph.entry_trace(witness.holder),
         });
     }
@@ -322,7 +318,6 @@ fn recurse_request(files: &[FileUnit], graph: &CallGraph) -> Vec<Finding> {
                  explicit depth or budget parameter, or rewrite iteratively"
             ),
             span: (0, 0),
-            snippet: snippet_of(&files[anchor_node.file_idx].1, anchor_node.line),
             entry_trace: graph.entry_trace(anchor),
         });
     }
@@ -336,7 +331,7 @@ fn has_guard(files: &[FileUnit], graph: &CallGraph, node: usize) -> bool {
     let Some((open, close)) = fnode.body else {
         return false;
     };
-    let tokens = &files[fnode.file_idx].2;
+    let tokens = &files[fnode.file_idx].1;
     tokens[open.min(tokens.len())..close.min(tokens.len())]
         .iter()
         .any(|t| {

@@ -3,7 +3,8 @@
 //! naming both acquisition sites, and a seeded unguarded recursion on
 //! the request path is a finding with an entry trace from the service
 //! entry point (while a depth-guarded rewrite passes).  A tree missing
-//! most scan roots scans cleanly.
+//! most scan roots scans cleanly; one where no service entry point
+//! resolves is an error, not a clean scan.
 
 #![expect(
     clippy::expect_used,
@@ -15,7 +16,6 @@
 use std::fs;
 use std::path::PathBuf;
 
-use hypar_analyzer::config::Config;
 use hypar_analyzer::scan_workspace;
 
 /// A scratch workspace under the target dir (always writable, cleaned
@@ -77,7 +77,7 @@ fn refresh(s: &State) -> u8 {
 }
 ",
     );
-    let findings = scan_workspace(&ws.root, &Config::default()).expect("scan");
+    let findings = scan_workspace(&ws.root).expect("scan");
     assert_eq!(findings.len(), 1, "{findings:?}");
     let finding = &findings[0];
     assert_eq!(finding.rule, "lock-order");
@@ -125,7 +125,7 @@ fn descend(n: u8) -> u8 {
 }
 ",
     );
-    let findings = scan_workspace(&ws.root, &Config::default()).expect("scan");
+    let findings = scan_workspace(&ws.root).expect("scan");
     assert_eq!(findings.len(), 1, "{findings:?}");
     let finding = &findings[0];
     assert_eq!(finding.rule, "recurse-request");
@@ -160,7 +160,7 @@ fn descend(n: u8, depth: u8) -> u8 {
 }
 ",
     );
-    let findings = scan_workspace(&ws.root, &Config::default()).expect("rescan");
+    let findings = scan_workspace(&ws.root).expect("rescan");
     assert!(
         findings.is_empty(),
         "guarded recursion passes: {findings:?}"
@@ -176,6 +176,19 @@ fn missing_scan_roots_are_skipped_not_errors() {
         "crates/engine/src/service.rs",
         "pub fn handle_request(x: u8) -> u8 {\n    x\n}\n",
     );
-    let findings = scan_workspace(&ws.root, &Config::default()).expect("scan sparse tree");
+    let findings = scan_workspace(&ws.root).expect("scan sparse tree");
     assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn no_resolving_entry_point_is_an_error() {
+    // A recursion the rules would flag, in a file no entry point names:
+    // a clean report here would hide it, so the scan fails instead.
+    let ws = MiniWorkspace::new("no-entry");
+    ws.write_file(
+        "crates/engine/src/helpers.rs",
+        "pub fn descend(n: u8) -> u8 {\n    if n == 0 { 0 } else { descend(n - 1) }\n}\n",
+    );
+    let err = scan_workspace(&ws.root).expect_err("no entry point resolves");
+    assert!(err.contains("no service entry point"), "{err}");
 }

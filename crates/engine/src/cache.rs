@@ -103,7 +103,7 @@ impl Inner {
 /// it saves.  A capacity of 0 disables storage entirely.
 ///
 /// In front of the fingerprint map sits a **request index**: each entry
-/// remembers the [`RequestDigest`] of the last request spelling that
+/// remembers the `RequestDigest` of the last request spelling that
 /// reached it (`"vgg_a"` and `"VGG-A"`, or `refine: true` and
 /// `strategy: "refined"`, share one fingerprint but not one digest), so
 /// the engine can serve a repeated request without resolving it to a

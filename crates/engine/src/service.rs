@@ -1,9 +1,10 @@
 //! Line-delimited JSON service front-ends.
 //!
 //! One request per line in, one response per line out — over any
-//! `BufRead`/`Write` pair ([`serve_lines`], used for stdin/stdout) or a
-//! TCP listener ([`serve_tcp`], one thread per connection, all sharing
-//! the engine's plan cache).
+//! `BufRead`/`Write` pair ([`serve_lines_recorded`], used for
+//! stdin/stdout) or a TCP listener ([`serve_tcp_recorded`], one thread
+//! per connection, all sharing the engine's plan cache).  Each takes an
+//! optional [`Recorder`]; `None` serves without recording.
 //!
 //! Each reply leaves in **one write**, its `\n` included, followed by a
 //! flush. On an unbuffered `TcpStream` a separate 1-byte `\n` write sits
@@ -46,16 +47,12 @@ use crate::request::PlanRequest;
 
 /// Handles one request line, returning the JSON reply (never fails — every
 /// error becomes an `{"error": ...}` object).
-#[must_use]
-pub fn handle_line(engine: &PlanEngine, line: &str) -> String {
-    handle_line_recorded(engine, line, None)
-}
-
-/// [`handle_line`] with an optional record sink: planning requests (and
-/// their outcomes) are appended to `recorder`; admin commands and lines
-/// that never parsed into a request are not workloads and are skipped.
-/// Recording failures are reported on stderr but never fail the request —
-/// observability must not take the service down.
+///
+/// With a `recorder`, planning requests (and their outcomes) are appended
+/// to it; admin commands and lines that never parsed into a request are
+/// not workloads and are skipped.  Recording failures are reported on
+/// stderr but never fail the request — observability must not take the
+/// service down.
 #[must_use]
 pub fn handle_line_recorded(
     engine: &PlanEngine,
@@ -124,22 +121,9 @@ fn error_json(message: &str) -> String {
         .unwrap_or_else(|_| "{\"error\": \"error serialization failed\"}".to_owned())
 }
 
-/// Serves line-delimited JSON requests from `input` to `output` until EOF.
-/// Blank lines are skipped; each reply is one write, then a flush.
-///
-/// # Errors
-///
-/// Returns the first I/O error encountered.
-pub fn serve_lines<R: BufRead, W: Write>(
-    engine: &PlanEngine,
-    input: R,
-    output: &mut W,
-) -> io::Result<()> {
-    serve_lines_recorded(engine, input, output, None)
-}
-
-/// [`serve_lines`] with an optional record sink (see
-/// [`handle_line_recorded`]).
+/// Serves line-delimited JSON requests from `input` to `output` until EOF,
+/// recording as [`handle_line_recorded`] does.  Blank lines are skipped;
+/// each reply is one write, then a flush.
 ///
 /// # Errors
 ///
@@ -179,18 +163,8 @@ fn strip_newline(line: &[u8]) -> &[u8] {
 
 /// Binds a TCP listener and serves each connection on its own thread,
 /// sharing one engine (and therefore one plan cache) across clients.
-/// Blocks forever.
-///
-/// # Errors
-///
-/// Returns an error if the address cannot be bound.
-pub fn serve_tcp(engine: Arc<PlanEngine>, addr: impl ToSocketAddrs) -> io::Result<()> {
-    serve_tcp_recorded(engine, addr, None)
-}
-
-/// [`serve_tcp`] with an optional shared record sink: every connection
-/// thread appends to the same JSONL log (the [`Recorder`] serializes
-/// writes internally).
+/// Blocks forever.  With a `recorder`, every connection thread appends to
+/// the same JSONL log (the [`Recorder`] serializes writes internally).
 ///
 /// # Errors
 ///
@@ -246,7 +220,7 @@ mod tests {
     #[test]
     fn invalid_json_becomes_error_object() {
         let engine = PlanEngine::new();
-        let reply = handle_line(&engine, "{nope");
+        let reply = handle_line_recorded(&engine, "{nope", None);
         let value: Value = serde_json::from_str(&reply).unwrap();
         assert!(value.get("error").is_some());
     }
@@ -254,7 +228,7 @@ mod tests {
     #[test]
     fn stats_command_answers() {
         let engine = PlanEngine::new();
-        let reply = handle_line(&engine, r#"{"cmd": "stats"}"#);
+        let reply = handle_line_recorded(&engine, r#"{"cmd": "stats"}"#, None);
         let value: Value = serde_json::from_str(&reply).unwrap();
         let cache = value.get("cache").expect("cache section");
         assert_eq!(cache.get("hits").and_then(Value::as_u64), Some(0));
@@ -264,17 +238,17 @@ mod tests {
     #[test]
     fn legacy_stats_spelling_is_byte_identical_to_new_one() {
         let engine = PlanEngine::new();
-        let _ = handle_line(&engine, "{\"network\": \"sfc\", \"levels\": 2}");
-        let legacy = handle_line(&engine, r#"{"cmd": "stats"}"#);
-        let new = handle_line(&engine, r#"{"stats": true}"#);
+        let _ = handle_line_recorded(&engine, "{\"network\": \"sfc\", \"levels\": 2}", None);
+        let legacy = handle_line_recorded(&engine, r#"{"cmd": "stats"}"#, None);
+        let new = handle_line_recorded(&engine, r#"{"stats": true}"#, None);
         assert_eq!(legacy, new);
     }
 
     #[test]
     fn stats_true_returns_cache_and_metrics_sections() {
         let engine = PlanEngine::new();
-        let _ = handle_line(&engine, "{\"network\": \"sfc\", \"levels\": 2}");
-        let reply = handle_line(&engine, r#"{"stats": true}"#);
+        let _ = handle_line_recorded(&engine, "{\"network\": \"sfc\", \"levels\": 2}", None);
+        let reply = handle_line_recorded(&engine, r#"{"stats": true}"#, None);
         let value: Value = serde_json::from_str(&reply).unwrap();
         let cache = value.get("cache").expect("cache section");
         assert_eq!(cache.get("misses").and_then(Value::as_u64), Some(1));
@@ -326,7 +300,7 @@ mod tests {
                      {\"network\": \"sfc\", \"levels\": 2}\r\n\
                      {\"network\": \"sfc\", \"levels\": 3}";
         let mut output = Vec::new();
-        serve_lines(&engine, input.as_bytes(), &mut output).unwrap();
+        serve_lines_recorded(&engine, input.as_bytes(), &mut output, None).unwrap();
         let text = String::from_utf8(output).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3, "{text}");
@@ -368,7 +342,7 @@ mod tests {
         let engine = PlanEngine::new();
         let input = "{\"network\": \"sfc\", \"levels\": 2}\n{nope\n{\"stats\": true}\n";
         let mut log = CallLog::default();
-        serve_lines(&engine, input.as_bytes(), &mut log).unwrap();
+        serve_lines_recorded(&engine, input.as_bytes(), &mut log, None).unwrap();
         assert_eq!(log.0.len(), 6, "{:?}", log.0);
         let replies: Vec<Value> = log
             .0

@@ -16,7 +16,7 @@ use serde_json::Value;
 /// Pushes one hostile line through the full service loop and asserts
 /// the reply is a single well-formed `{"error": ...}` object.
 fn expect_error_reply(engine: &PlanEngine, line: &str) -> String {
-    let reply = service::handle_line(engine, line);
+    let reply = service::handle_line_recorded(engine, line, None);
     let value: Value = serde_json::from_str(&reply)
         .unwrap_or_else(|e| panic!("reply must be valid JSON ({e}): {reply}"));
     let message = value
@@ -101,7 +101,7 @@ fn huge_fields_are_bounded_in_time_and_yield_errors() {
     ];
     for (line, must_reject) in cases {
         let started = Instant::now();
-        let reply = service::handle_line(&engine, line);
+        let reply = service::handle_line_recorded(&engine, line, None);
         let elapsed = started.elapsed();
         // Megabyte-scale garbage must be dispatched in interactive time —
         // parsing is linear and hostile shapes never reach the planner.
@@ -142,7 +142,7 @@ fn the_service_loop_survives_a_hostile_session_and_still_plans() {
     input.extend(b"{\"network\": \"sfc\", \"levels\": 2}\n");
 
     let mut output = Vec::new();
-    service::serve_lines(&engine, input.as_slice(), &mut output).unwrap();
+    service::serve_lines_recorded(&engine, input.as_slice(), &mut output, None).unwrap();
     let text = String::from_utf8(output).unwrap();
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 5, "{text}");
@@ -216,7 +216,7 @@ fn overflowing_shapes_are_typed_errors_and_the_service_keeps_answering() {
     let mut input = lines.join("\n");
     input.push_str("\n{\"network\": \"vgg_a\", \"levels\": 4}\n");
     let mut output = Vec::new();
-    service::serve_lines(&engine, input.as_bytes(), &mut output).unwrap();
+    service::serve_lines_recorded(&engine, input.as_bytes(), &mut output, None).unwrap();
     let text = String::from_utf8(output).unwrap();
     let replies: Vec<&str> = text.lines().collect();
     assert_eq!(replies.len(), lines.len() + 1, "{text}");

@@ -1,11 +1,11 @@
 //! Coverage-guided mutation fuzzing over raw request bytes, closing
 //! the ROADMAP's "fuzz the request parser" item.
 //!
-//! The analyzer's `--self-fuzz` loop is reused shape-for-shape, aimed
+//! The analyzer's self-fuzz test loop is reused shape-for-shape, aimed
 //! at the service boundary instead of the lexer: a deterministic LCG
 //! (same seed → same mutants, so a CI failure reproduces locally)
 //! mutates a corpus of valid and hostile request lines and pushes every
-//! mutant through the full [`service::handle_line`] path, asserting
+//! mutant through the full [`service::handle_line_recorded`] path, asserting
 //!
 //! 1. **no panic** — a panicking request handler aborts the service,
 //!    the exact failure class clippy's `unwrap_used`/`panic` lints gate
@@ -19,7 +19,7 @@
 //! input-length bucket, bracket-nesting bucket).  A mutant reaching a
 //! new signature joins the corpus, so later mutations explore outward
 //! from inputs that already proved interesting — the same AFL-style
-//! loop as `hypar-analyzer --self-fuzz`, with reply classes standing in
+//! loop as the analyzer's lexer fuzz test, with reply classes standing in
 //! for branch edges.
 //!
 //! A deterministic sweep holds the same latency bound over the whole
@@ -181,7 +181,7 @@ fn run_fuzz(iterations: u64, seed: u64) -> (BTreeSet<(u8, u8, u8)>, usize) {
             let line = String::from_utf8_lossy(&bytes).into_owned();
 
             let started = Instant::now();
-            let reply = service::handle_line(&engine, &line);
+            let reply = service::handle_line_recorded(&engine, &line, None);
             let elapsed = started.elapsed();
             assert!(
                 elapsed < MUTANT_BUDGET,
@@ -269,7 +269,7 @@ fn simulated_requests_over_the_whole_level_space_stay_within_budget() {
                         r#"{{"network": "{network}", "levels": {levels}, "strategy": "{strategy}", "topology": "{topology}", "simulate": true}}"#
                     );
                     let started = Instant::now();
-                    let reply = service::handle_line(&engine, &line);
+                    let reply = service::handle_line_recorded(&engine, &line, None);
                     let elapsed = started.elapsed();
                     assert!(elapsed < MUTANT_BUDGET, "{line} took {elapsed:?}");
                     let Ok(value) = serde_json::from_str::<Value>(&reply) else {

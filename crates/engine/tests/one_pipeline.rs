@@ -291,7 +291,7 @@ fn zero_levels_reply_a_positive_zero_total() {
         for strategy in ["hypar", "dp", "refined", "exhaustive"] {
             let line =
                 format!(r#"{{"network": {network}, "levels": 0, "strategy": "{strategy}"}}"#);
-            let reply = service::handle_line(&engine, &line);
+            let reply = service::handle_line_recorded(&engine, &line, None);
             assert!(
                 reply.contains(r#""total_comm_elems":0,"#)
                     && reply.contains(r#""total_comm_bytes":0,"#)

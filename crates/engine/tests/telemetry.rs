@@ -199,10 +199,10 @@ fn service_stats_command_tracks_a_burst() {
         r#"{"network": "sfc", "levels": 2}"#,
         r#"{"network": "lenet_c", "levels": 3}"#,
     ] {
-        let reply = service::handle_line(&engine, line);
+        let reply = service::handle_line_recorded(&engine, line, None);
         assert!(!reply.contains("\"error\""), "{reply}");
     }
-    let reply = service::handle_line(&engine, r#"{"stats": true}"#);
+    let reply = service::handle_line_recorded(&engine, r#"{"stats": true}"#, None);
     let value: Value = serde_json::from_str(&reply).unwrap();
     let cache = value.get("cache").expect("cache section");
     let hits = cache.get("hits").and_then(Value::as_u64).unwrap();
@@ -214,8 +214,8 @@ fn service_stats_command_tracks_a_burst() {
     assert_eq!(hits, 1, "the repeated sfc request hits");
 
     // The snapshot is monotone: another request can only grow it.
-    let _ = service::handle_line(&engine, r#"{"network": "sfc", "levels": 2}"#);
-    let again = service::handle_line(&engine, r#"{"stats": true}"#);
+    let _ = service::handle_line_recorded(&engine, r#"{"network": "sfc", "levels": 2}"#, None);
+    let again = service::handle_line_recorded(&engine, r#"{"stats": true}"#, None);
     let value: Value = serde_json::from_str(&again).unwrap();
     let requests = value
         .get("metrics")

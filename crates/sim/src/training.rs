@@ -168,27 +168,6 @@ pub fn simulate_graph_step_traced(
     Ok((report, trace.unwrap_or_default()))
 }
 
-/// Simulates one training step on a **single** accelerator (an empty
-/// hierarchy) — the normalization baseline of the paper's Figure 11.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] from the underlying simulation rather
-/// than unwinding: the service must never pay for a malformed workload
-/// with a worker thread.
-pub fn simulate_single_accelerator(
-    shapes: &NetworkShapes,
-    cfg: &ArchConfig,
-) -> Result<StepReport, SimError> {
-    let plan = HierarchicalPlan::from_parts(
-        shapes.name(),
-        shapes.layers().iter().map(|l| l.name.clone()).collect(),
-        Vec::new(),
-        0.0,
-    );
-    simulate_step(shapes, &plan, cfg)
-}
-
 /// Validates the stitched plan against the graph and assembles the
 /// multi-segment builder.
 fn graph_builder<'a>(
@@ -1016,8 +995,9 @@ mod tests {
 
     #[test]
     fn single_accelerator_has_no_communication() {
-        let (shapes, _) = setup("Lenet-c", 256);
-        let report = simulate_single_accelerator(&shapes, &ArchConfig::paper()).unwrap();
+        let (shapes, net) = setup("Lenet-c", 256);
+        let report =
+            simulate_step(&shapes, &baselines::all_data(&net, 0), &ArchConfig::paper()).unwrap();
         assert_eq!(report.num_accelerators, 1);
         assert!(report.comm_bytes.is_zero());
         assert!(report.link_energy.is_zero());
@@ -1064,7 +1044,7 @@ mod tests {
     fn sixteen_accelerators_beat_one_for_vgg() {
         let (shapes, net) = setup("VGG-A", 256);
         let cfg = ArchConfig::paper();
-        let one = simulate_single_accelerator(&shapes, &cfg).unwrap();
+        let one = simulate_step(&shapes, &baselines::all_data(&net, 0), &cfg).unwrap();
         let hypar = simulate_step(&shapes, &hierarchical::partition(&net, 4), &cfg).unwrap();
         let gain = hypar.performance_gain_over(&one);
         assert!(

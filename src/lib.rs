@@ -13,7 +13,7 @@
 //! | [`graph`]  | `hypar-graph`  | DAG network IR: branchy models segmented and planned |
 //! | [`sim`]    | `hypar-sim`    | the event-driven accelerator-array simulator |
 //! | [`telemetry`] | `hypar-telemetry` | metrics registry and per-request span traces |
-//! | [`bench`]  | `hypar-bench`  | paper table/figure reproduction harness |
+//! | [`bench`](mod@bench) | `hypar-bench` | paper table/figure reproduction harness |
 //! | [`engine`] | `hypar-engine` | the cached, parallel planning-engine service |
 
 #![forbid(unsafe_code)]
