@@ -16,7 +16,7 @@
 //! The scanner is a hand-rolled lexer (comments, nested block comments,
 //! raw strings, char-vs-lifetime ticks all handled — **not** regex over
 //! source) feeding a never-panicking brace/paren-matched [`parse`]
-//! layer, and a workspace-wide [`callgraph`] (nodes `crate::module::fn`,
+//! layer, and a workspace-wide call graph (nodes `crate::module::fn`,
 //! edges only where a call site resolves unambiguously) seeded at the
 //! service entry points in [`config::ENTRY_POINTS`].  Findings on a
 //! reachable path carry an `entry_trace` — the call chain from the entry
@@ -24,7 +24,7 @@
 //! report reads like a backtrace.  Any finding fails the run: the gate
 //! tolerates nothing.
 
-pub mod callgraph;
+mod callgraph;
 pub mod config;
 #[cfg(test)]
 mod fuzz;

@@ -5,7 +5,7 @@
 //! * [`structural`] — `lock-scope`, which needs statement and scope
 //!   shape from [`crate::parse`];
 //! * `interproc` — `lock-order` and `recurse-request`, which run over
-//!   the workspace [`crate::callgraph`].
+//!   the workspace call graph.
 //!
 //! **Test code is exempt**: any item under a `#[cfg(test)]` / `#[test]`
 //! attribute (the attribute, plus the following braced block or

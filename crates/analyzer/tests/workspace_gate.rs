@@ -1,7 +1,8 @@
 //! The analyzer against the real tree, and the wiring of the clippy
-//! policy that replaced its per-site rules: every service crate opts
-//! into the workspace lint table, the table denies each replacement
-//! lint, and the three call-graph rules report nothing.
+//! policy that replaced its per-site rules: every service crate and the
+//! vendored JSON parser opt into the workspace lint table, the table
+//! denies each replacement lint, and the three call-graph rules report
+//! nothing.
 
 #![expect(clippy::expect_used, reason = "helpers fail by panicking")]
 
@@ -56,11 +57,15 @@ fn table(text: &str, header: &str) -> Vec<(String, String)> {
 
 #[test]
 fn service_crates_opt_into_the_denying_lint_table() {
-    for name in SERVICE_CRATES {
-        let manifest = read(&format!("crates/{name}/Cargo.toml"));
+    // Every request line also goes through the vendored JSON parser.
+    let manifests = SERVICE_CRATES
+        .iter()
+        .map(|name| format!("crates/{name}/Cargo.toml"))
+        .chain(["vendor/serde_json/Cargo.toml".to_owned()]);
+    for path in manifests {
         assert!(
-            table(&manifest, "lints").contains(&("workspace".into(), "true".into())),
-            "crates/{name}/Cargo.toml must opt into the policy with `[lints] workspace = true`"
+            table(&read(&path), "lints").contains(&("workspace".into(), "true".into())),
+            "{path} must opt into the policy with `[lints] workspace = true`"
         );
     }
     let policy = table(&read("Cargo.toml"), "workspace.lints.clippy");

@@ -98,9 +98,12 @@ impl Inner {
 /// A thread-safe least-recently-used cache of [`PlanResponse`]s keyed by
 /// workload [`Fingerprint`].
 ///
-/// Eviction scans for the stale entry on insert; with the engine's default
-/// capacity (1024) that linear scan is far cheaper than the planning work
-/// it saves.  A capacity of 0 disables storage entirely.
+/// An insert into a full cache scans every entry for the least recently
+/// used one.  At the engine's default capacity (1024) that scan is not
+/// cheap: 8.5 µs per evicting insert against 0.24 µs for an insert that
+/// evicts nothing (release build, 2-core x86-64), about a quarter of the
+/// ~35 µs a cold request spends planning.  A capacity of 0 disables
+/// storage entirely.
 ///
 /// In front of the fingerprint map sits a **request index**: each entry
 /// remembers the `RequestDigest` of the last request spelling that

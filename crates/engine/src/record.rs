@@ -91,23 +91,8 @@ impl Recorder {
         })
     }
 
-    /// Appends one entry as a JSON line and flushes it (replay logs are
-    /// often read while the service still runs; a torn tail line would
-    /// poison the whole log).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error on write failure.
-    pub fn record(&self, entry: &RecordEntry) -> io::Result<()> {
-        let line = serde_json::to_string(entry)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
-        writeln!(sink, "{line}")?;
-        sink.flush()
-    }
-
-    /// Convenience for the planning paths: records the outcome of one
-    /// request.
+    /// Records the outcome of one request: appends its [`RecordEntry`]
+    /// line and flushes it.
     ///
     /// # Errors
     ///
@@ -117,7 +102,37 @@ impl Recorder {
         request: &PlanRequest,
         outcome: &Result<PlanResponse, EngineError>,
     ) -> io::Result<()> {
-        self.record(&RecordEntry::from_outcome(request, outcome))
+        match outcome {
+            Ok(response) => self.record_parts(request, Some(response), None),
+            Err(err) => self.record_parts(request, None, Some(&err.to_string())),
+        }
+    }
+
+    /// Appends the JSON line of the [`RecordEntry`] with these fields,
+    /// written from the borrowed parts without building the entry, and
+    /// flushes it (replay logs are often read while the service still
+    /// runs; a torn tail line would poison the whole log).
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error on write failure.
+    pub(crate) fn record_parts(
+        &self,
+        request: &PlanRequest,
+        response: Option<&PlanResponse>,
+        error: Option<&str>,
+    ) -> io::Result<()> {
+        // `RecordEntry`'s derived layout: its fields in declaration order.
+        let mut line = String::from("{\"request\":");
+        request.write_json(&mut line);
+        line.push_str(",\"response\":");
+        response.write_json(&mut line);
+        line.push_str(",\"error\":");
+        error.write_json(&mut line);
+        line.push_str("}\n");
+        let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
+        sink.write_all(line.as_bytes())?;
+        sink.flush()
     }
 }
 

@@ -101,6 +101,10 @@ impl Serialize for Strategy {
     fn to_value(&self) -> Value {
         Value::String(self.name().to_owned())
     }
+
+    fn write_json(&self, out: &mut String) {
+        self.name().write_json(out);
+    }
 }
 
 impl Deserialize for Strategy {
@@ -220,6 +224,14 @@ impl Serialize for NetworkRef {
             NetworkRef::Zoo(name) => Value::String(name.clone()),
             NetworkRef::Custom(custom) => custom.to_value(),
             NetworkRef::Graph(graph) => graph.to_value(),
+        }
+    }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            NetworkRef::Zoo(name) => name.write_json(out),
+            NetworkRef::Custom(custom) => custom.write_json(out),
+            NetworkRef::Graph(graph) => graph.write_json(out),
         }
     }
 }
@@ -394,6 +406,31 @@ impl Serialize for PlanRequest {
             fields.push(("assignments".to_owned(), assignments.to_value()));
         }
         Value::Object(fields)
+    }
+
+    /// The same fields, in the same order, as `to_value`.
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"network\":");
+        self.network.write_json(out);
+        out.push_str(",\"batch\":");
+        self.batch.write_json(out);
+        out.push_str(",\"levels\":");
+        self.levels.write_json(out);
+        out.push_str(",\"strategy\":");
+        self.strategy.write_json(out);
+        out.push_str(",\"topology\":");
+        topology_name(self.topology).write_json(out);
+        out.push_str(",\"simulate\":");
+        self.simulate.write_json(out);
+        out.push_str(",\"refine\":");
+        self.refine.write_json(out);
+        out.push_str(",\"trace\":");
+        self.trace.write_json(out);
+        if let Some(assignments) = &self.assignments {
+            out.push_str(",\"assignments\":");
+            assignments.write_json(out);
+        }
+        out.push('}');
     }
 }
 

@@ -24,7 +24,7 @@ use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::engine::PlanEngine;
 use crate::parallel;
-use crate::record::{RecordEntry, Recorder};
+use crate::record::Recorder;
 use crate::request::{PlanRequest, PlanResponse};
 
 /// Why a scenario file could not be turned into a [`Scenario`].
@@ -292,7 +292,7 @@ pub fn load(path: &Path) -> Result<Scenario, ScenarioError> {
     })
 }
 
-/// Appends one [`RecordEntry`] per request of a finished run to
+/// Appends one [`crate::RecordEntry`] line per request of a finished run to
 /// `recorder`, in request order (the report preserves it), so a scenario
 /// sweep under `--record` yields the same replayable JSONL log shape as
 /// the line service.
@@ -306,11 +306,7 @@ pub fn record_report(
     report: &ScenarioReport,
 ) -> io::Result<()> {
     for (request, entry) in scenario.requests.iter().zip(&report.entries) {
-        recorder.record(&RecordEntry {
-            request: request.clone(),
-            response: entry.response.clone(),
-            error: entry.error.clone(),
-        })?;
+        recorder.record_parts(request, entry.response.as_ref(), entry.error.as_deref())?;
     }
     Ok(())
 }

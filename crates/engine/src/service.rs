@@ -39,7 +39,7 @@ use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::Arc;
 use std::thread;
 
-use serde::Value;
+use serde::{Serialize, Value};
 
 use crate::engine::PlanEngine;
 use crate::record::Recorder;
@@ -94,31 +94,26 @@ pub fn handle_line_recorded(
 /// registry snapshot is key-sorted, so two engines that observed the same
 /// traffic produce byte-identical stats replies.
 fn stats_json(engine: &PlanEngine) -> String {
-    use serde::Serialize;
-    let value = Value::Object(vec![
-        ("cache".to_owned(), engine.cache_stats().to_value()),
-        ("metrics".to_owned(), engine.metrics_snapshot().to_value()),
-    ]);
-    serde_json::to_string(&value)
-        .unwrap_or_else(|err| error_json(&format!("stats serialization failed: {err}")))
+    let mut out = String::from("{\"cache\":");
+    engine.cache_stats().write_json(&mut out);
+    out.push_str(",\"metrics\":");
+    engine.metrics_snapshot().write_json(&mut out);
+    out.push('}');
+    out
 }
 
 /// Serializes a reply, degrading to an error object rather than panicking
 /// the serving thread if serialization ever fails.
-fn reply_json<T: serde::Serialize>(value: &T) -> String {
+fn reply_json<T: Serialize>(value: &T) -> String {
     serde_json::to_string(value)
         .unwrap_or_else(|err| error_json(&format!("response serialization failed: {err}")))
 }
 
 fn error_json(message: &str) -> String {
-    let value = Value::Object(vec![(
-        "error".to_owned(),
-        Value::String(message.to_owned()),
-    )]);
-    // A flat string-valued object cannot fail to serialize; fall back to a
-    // hand-built constant rather than unwinding a service thread.
-    serde_json::to_string(&value)
-        .unwrap_or_else(|_| "{\"error\": \"error serialization failed\"}".to_owned())
+    let mut out = String::from("{\"error\":");
+    message.write_json(&mut out);
+    out.push('}');
+    out
 }
 
 /// Serves line-delimited JSON requests from `input` to `output` until EOF,
